@@ -2,7 +2,9 @@
 # The tier-1 gate: everything a PR must keep green.
 # Run from the repository root: ./ci.sh
 # Pass --bench-smoke to also exercise the benchmark binaries at reduced
-# job counts (no BENCH_*.json is written) so they cannot silently rot.
+# job counts (no BENCH_*.json is written) so they cannot silently rot,
+# and to build and unit-test the repository benchmark (perfbench/, the
+# package BENCHMARK.json runs) against the current crates.
 # Pass --chaos to additionally sweep the deterministic fault-injection
 # suite (tests/chaos_scheduler.rs) across fixed PP_CHAOS_SEED values.
 # Pass --analyze to run ONLY the pp-analyze static-analysis gate (fast
@@ -45,6 +47,10 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     PP_BENCH_SMOKE=1 PP_BENCH_JOBS=8 cargo run --release -q -p pp-bench --bin sampling_bench
     echo "==> bench smoke: round_bench (200 jobs)"
     PP_BENCH_SMOKE=1 PP_BENCH_JOBS=200 cargo run --release -q -p pp-bench --bin round_bench
+    echo "==> bench smoke: build the repository benchmark (perfbench/)"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    echo "==> bench smoke: perfbench unit tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if [[ "${1:-}" == "--chaos" ]]; then

@@ -12,14 +12,11 @@
 //!      before the batching rework);
 //!    * `per_sample_gemm` — batch size 1 through the blocked kernels
 //!      (isolates the GEMM win);
-//!    * `batched_gemm` — micro-batched through the blocked kernels (the
-//!      production path; adds the batching win);
-//!    * `streamed_gemm` — the same micro-batched workers delivering
-//!      through the bounded-channel stream that backs
-//!      `generate_stream` and the round entry points (guards the
-//!      streaming redesign against regressing the batch path);
-//!    * `engine_sched` — the same jobs through a shared Engine
-//!      scheduler (bit-identity with the batch path asserted);
+//!    * `batched_gemm` — micro-batched through the blocked kernels
+//!      (the blocking batch path; adds the batching win);
+//!    * `engine_sched` — the same jobs through an Engine scheduler,
+//!      the dispatcher every streamed round (solo or shared) runs
+//!      through (bit-identity with the batch path asserted);
 //!    * `qos_sched` — the QoS front door: the jobs split across two
 //!      tenants in different QoS classes, submitted as `JobSpec`s to a
 //!      `Service` over a `WeightedFair` scheduler, timed to the last
@@ -32,13 +29,11 @@
 //!      timed — catch_unwind isolation, poison-safe locks, and the
 //!      fault hook must cost ~nothing on the happy path, so this mode
 //!      stays within a few percent of `batched_gemm`;
-//!    * `mixed_tenants` — the continuous-batching headline: a
+//!    * `mixed_tenants` — the continuous-batching workload: a
 //!      mixed-width flood (narrow Batch + wide BestEffort tenants,
-//!      with Interactive tenants arriving mid-flight) A/B'd under
-//!      `DispatchMode::FixedBatch` and `DispatchMode::Continuous`.
+//!      with Interactive tenants arriving mid-flight) on one worker.
 //!      Reports aggregate samples/s plus per-class p50/p99
-//!      submit→first-dispatch waits; Continuous must beat FixedBatch
-//!      on both throughput and Interactive p99 wait.
+//!      submit→first-dispatch waits and slot occupancy.
 //!
 //! All modes run the same worker-thread count, so the reported speedup
 //! is purely kernels + batching. Results go to `BENCH_sampling.json` at
@@ -52,12 +47,11 @@
 #![forbid(unsafe_code)]
 
 use patternpaint_core::{
-    ArtifactStore, DispatchMode, Engine, Fault, FaultPlan, Fleet, FleetOptions, JobSet, JobSpec,
-    MemStore, PipelineConfig, QosClass, RawSample, RetryPolicy, Sampler, ScheduledSampler,
-    SchedulerOptions, SchedulerStats, Service, ServiceOptions, StreamOptions, TrainSpec,
-    WeightedFair,
+    ArtifactStore, Engine, Fault, FaultPlan, Fleet, FleetOptions, JobSet, JobSpec, MemStore,
+    PipelineConfig, QosClass, RawSample, RetryPolicy, Sampler, ScheduledSampler, SchedulerOptions,
+    SchedulerStats, Service, ServiceOptions, StreamOptions, TrainSpec, WeightedFair,
 };
-use pp_diffusion::{CancelToken, DiffusionModel};
+use pp_diffusion::DiffusionModel;
 use pp_geometry::GrayImage;
 use pp_inpaint::MaskSet;
 use pp_nn::gemm;
@@ -77,12 +71,11 @@ struct ModeResult {
 
 fn run_mode(
     name: &'static str,
-    model: &std::sync::Arc<DiffusionModel>,
+    model: &DiffusionModel,
     jobs: &[(GrayImage, GrayImage)],
     threads: usize,
     batch_size: usize,
     naive: bool,
-    streamed: bool,
 ) -> ModeResult {
     gemm::set_force_naive(naive);
     // Warm up allocator pools and caches on a small prefix.
@@ -90,29 +83,9 @@ fn run_mode(
         .sample_inpaint_batch_sized(&jobs[..threads.min(jobs.len())], 1, threads, batch_size)
         .expect("warmup jobs are well-formed");
     let t0 = Instant::now();
-    let out = if streamed {
-        // The bounded-channel delivery path behind generate_stream,
-        // consumed with a small per-worker buffer (real backpressure).
-        let stream = model
-            .sample_inpaint_stream(
-                jobs.to_vec(),
-                42,
-                threads,
-                batch_size,
-                2,
-                CancelToken::new(),
-            )
-            .expect("jobs are well-formed");
-        let mut out = Vec::with_capacity(jobs.len());
-        for mb in stream {
-            out.extend(mb.samples);
-        }
-        out
-    } else {
-        model
-            .sample_inpaint_batch_sized(jobs, 42, threads, batch_size)
-            .expect("jobs are well-formed")
-    };
+    let out = model
+        .sample_inpaint_batch_sized(jobs, 42, threads, batch_size)
+        .expect("jobs are well-formed");
     let seconds = t0.elapsed().as_secs_f64();
     gemm::set_force_naive(false);
     assert_eq!(out.len(), jobs.len());
@@ -291,7 +264,7 @@ fn main() {
 
     // 2. 64-job inpaint batch on the standard model (untrained weights:
     // runtime is architecture-bound, not weight-bound).
-    let model = std::sync::Arc::new(DiffusionModel::new(cfg.model, 0));
+    let model = DiffusionModel::new(cfg.model, 0);
     let starters = node.starter_patterns();
     let masks = MaskSet::Default.masks(node.clip());
     let jobs: Vec<(GrayImage, GrayImage)> = (0..jobs)
@@ -324,8 +297,8 @@ fn main() {
     let reference = model
         .sample_inpaint_batch_sized(&jobs, 42, threads, cfg.batch_size)
         .expect("jobs are well-formed");
-    let naive_mode = run_mode("per_sample_naive", &model, &jobs, threads, 1, true, false);
-    let per_gemm_mode = run_mode("per_sample_gemm", &model, &jobs, threads, 1, false, false);
+    let naive_mode = run_mode("per_sample_naive", &model, &jobs, threads, 1, true);
+    let per_gemm_mode = run_mode("per_sample_gemm", &model, &jobs, threads, 1, false);
     let run_batched = || {
         run_mode(
             "batched_gemm",
@@ -334,23 +307,11 @@ fn main() {
             threads,
             cfg.batch_size,
             false,
-            false,
         )
     };
-    let run_streamed = || {
-        run_mode(
-            "streamed_gemm",
-            &model,
-            &jobs,
-            threads,
-            cfg.batch_size,
-            false,
-            true,
-        )
-    };
-    // The engine-backed path: the same jobs through a shared
-    // Engine scheduler (the pool that serves concurrent sessions)
-    // instead of a per-request worker pool. Same weights (seed 0),
+    // The engine-backed path: the same jobs through an Engine
+    // scheduler, the dispatcher both shared sessions and solo
+    // `DiffusionSampler` rounds stream through. Same weights (seed 0),
     // same per-job RNG streams, so outputs are bit-identical —
     // asserted against the blocking batch path.
     let run_engine = || {
@@ -509,17 +470,16 @@ fn main() {
             retries,
         )
     };
-    // Interleaved best-of-N: round r runs batched, streamed,
-    // engine_sched, qos_sched and faulted_clean once each, and each
+    // Interleaved best-of-N: round r runs batched, engine_sched,
+    // qos_sched and faulted_clean once each, and each
     // mode keeps its fastest round — so every mode's best sampled the
     // same noise regimes as the `batched` denominator it is guarded
     // against.
     let mut batched_mode = run_batched();
-    let mut streamed_mode = run_streamed();
     let mut engine_mode = run_engine();
     let mut qos_best = run_qos();
     let mut faulted_best = run_faulted();
-    // Per-round seconds for [batched, streamed, engine, qos, faulted]:
+    // Per-round seconds for [batched, engine, qos, faulted]:
     // the overhead guards are computed as *paired* ratios within a
     // round (median across rounds), so both sides of each ratio saw
     // the same few seconds of box weather. Ratio-of-global-bests is
@@ -527,20 +487,17 @@ fn main() {
     // guard at once even when each mode's own best is honest.
     let mut rounds = vec![[
         batched_mode.seconds,
-        streamed_mode.seconds,
         engine_mode.seconds,
         qos_best.0.seconds,
         faulted_best.0.seconds,
     ]];
     for _ in 1..reps {
         let b = run_batched();
-        let s = run_streamed();
         let e = run_engine();
         let q = run_qos();
         let f = run_faulted();
-        rounds.push([b.seconds, s.seconds, e.seconds, q.0.seconds, f.0.seconds]);
+        rounds.push([b.seconds, e.seconds, q.0.seconds, f.0.seconds]);
         batched_mode = fastest(batched_mode, b);
-        streamed_mode = fastest(streamed_mode, s);
         engine_mode = fastest(engine_mode, e);
         if q.0.seconds < qos_best.0.seconds {
             qos_best = q;
@@ -559,56 +516,47 @@ fn main() {
             0.5 * (rs[n / 2 - 1] + rs[n / 2])
         }
     };
-    let stream_ratio = paired_ratio(1);
-    let engine_ratio = paired_ratio(2);
-    let qos_ratio = paired_ratio(3);
-    let faulted_ratio = paired_ratio(4);
+    let engine_ratio = paired_ratio(1);
+    let qos_ratio = paired_ratio(2);
+    let faulted_ratio = paired_ratio(3);
     let (qos_mode, qos_stats) = qos_best;
     let (faulted_mode, faulted_stats, faulted_retries) = faulted_best;
     let modes: Vec<ModeResult> = vec![
         naive_mode,
         per_gemm_mode,
         batched_mode,
-        streamed_mode,
         engine_mode,
         qos_mode,
         faulted_mode,
     ];
 
-    // The continuous-batching headline: a mixed-width multi-tenant
-    // flood with Interactive tenants arriving mid-flight, run on fresh
-    // services over the same engine under the pre-slot FixedBatch
-    // dispatch and under Continuous. The flood's shape targets both
-    // structural weaknesses of fixed dispatch at once:
+    // The continuous-batching workload: a mixed-width multi-tenant
+    // flood with Interactive tenants arriving mid-flight, on fresh
+    // services over the same engine. The flood's shape exercises both
+    // things continuous admission is for:
     //
     //  * four *narrow* Batch tenants (width 1, the per-tenant-latency
-    //    optimum) — fixed runs their samples as 1-wide forward passes,
-    //    paying full per-pass overhead per sample, while continuous
-    //    admission packs them into shared passes (samples/s);
-    //  * two *wide* BestEffort tenants (width 8) — fixed must run each
-    //    of their micro-batches as one 8-wide × all-steps block during
-    //    which it cannot look at the queue, so an Interactive arrival
-    //    behind one waits out the whole block; continuous drip-admits
-    //    them a few slots at a time into whatever is free, keeping
-    //    slot retirements frequent and the next retirement is offered
-    //    to the highest-ranked arrival (Interactive wait p99).
+    //    optimum) — continuous admission packs their samples into
+    //    shared passes instead of 1-wide ones (samples/s);
+    //  * two *wide* BestEffort tenants (width 8) — continuous admission
+    //    drip-admits them a few slots at a time into whatever is free,
+    //    keeping slot retirements frequent, and the next retirement is
+    //    offered to the highest-ranked arrival (Interactive wait p99).
     //
-    // One worker, deliberately: the host is a single vCPU (a second
-    // worker only interleaves noisily) and a single pool makes the
-    // dispatch discipline the only variable in the A/B.
+    // One worker, deliberately: a single pool makes admission the only
+    // thing shaping the passes.
     struct MixedRun {
         seconds: f64,
         samples: usize,
         stats: SchedulerStats,
     }
-    let mixed_once = |mode: DispatchMode| -> MixedRun {
+    let mixed_once = || -> MixedRun {
         let service = Service::new(
             &engine,
             ServiceOptions {
                 threads: 1,
                 scheduler: SchedulerOptions::new()
                     .policy(WeightedFair)
-                    .dispatch(mode)
                     .slot_capacity(6),
                 ..Default::default()
             },
@@ -688,15 +636,12 @@ fn main() {
             stats: service.scheduler_stats(),
         }
     };
-    // Wall clock on a shared box swings ±15% between runs — slow
-    // regimes last seconds, long enough to bias a whole block of
-    // same-mode runs — and the wait percentiles of any single run are
-    // a phase lottery (whether an arrival lands just before or just
-    // after a refill). So the A/B interleaves the two modes
-    // (fixed, continuous, fixed, …) so both sample the same noise
-    // windows, and each metric gets the estimator that suits it:
-    // throughput from the fastest of N runs, wait percentiles as the
-    // median of the per-run percentiles.
+    // Wall clock on a shared box swings ±15% between runs, and the
+    // wait percentiles of any single run are a phase lottery (whether
+    // an arrival lands just before or just after a refill). So each
+    // metric gets the estimator that suits it: throughput from the
+    // fastest of N runs, wait percentiles as the median of the per-run
+    // percentiles.
     let summarize = |runs: Vec<MixedRun>| -> MixedRun {
         let median_wait = |f: &dyn Fn(&MixedRun) -> u64| -> u64 {
             let mut v: Vec<u64> = runs.iter().map(f).collect();
@@ -713,21 +658,11 @@ fn main() {
         best.stats.wait_p99_micros_by_class.interactive = p99_int;
         best
     };
-    let mut fixed_runs = Vec::new();
-    let mut cont_runs = Vec::new();
-    for _ in 0..if smoke { 1 } else { 4 } {
-        fixed_runs.push(mixed_once(DispatchMode::FixedBatch));
-        cont_runs.push(mixed_once(DispatchMode::Continuous));
-    }
-    let mixed_fixed = summarize(fixed_runs);
-    let mixed_cont = summarize(cont_runs);
-    let mixed_ratio = (mixed_cont.samples as f64 / mixed_cont.seconds)
-        / (mixed_fixed.samples as f64 / mixed_fixed.seconds);
-    // p99 improvement as fixed/continuous: > 1 means Continuous admits
-    // Interactive work sooner. Clamp the denominator — a sub-µs wait
-    // rounds to 0.
-    let interactive_p99_improvement = mixed_fixed.stats.wait_p99_micros_by_class.interactive as f64
-        / (mixed_cont.stats.wait_p99_micros_by_class.interactive.max(1)) as f64;
+    let mixed_cont = summarize(
+        (0..if smoke { 1 } else { 4 })
+            .map(|_| mixed_once())
+            .collect(),
+    );
 
     // 3. pp-fleet replica scaling, N ∈ {1, 2, 4}. The host is a single
     // vCPU, so N replicas of a CPU-bound forward pass cannot scale —
@@ -863,7 +798,6 @@ fn main() {
     let faulted_vs_qos = faulted_ratio / qos_ratio;
     println!();
     println!("batched_gemm vs per_sample_naive (pre-rework path): {speedup:.2}x");
-    println!("streamed_gemm vs batched_gemm (stream delivery overhead): {stream_ratio:.2}x");
     println!("engine_sched vs batched_gemm (shared-scheduler overhead): {engine_ratio:.2}x");
     println!("qos_sched vs batched_gemm (front door + policy + tail overhead): {qos_ratio:.2}x");
     println!(
@@ -889,24 +823,18 @@ fn main() {
         );
     }
     println!();
-    for (label, r) in [("fixed", &mixed_fixed), ("continuous", &mixed_cont)] {
-        println!(
-            "mixed_tenants [{label:>10}]: {} samples in {:.3}s ({:.2} samples/s); \
-             interactive wait p50/p99 = {:.1}/{:.1} ms; \
-             slots filled/idle = {}/{}; merged passes = {}",
-            r.samples,
-            r.seconds,
-            r.samples as f64 / r.seconds,
-            r.stats.wait_p50_micros_by_class.interactive as f64 / 1e3,
-            r.stats.wait_p99_micros_by_class.interactive as f64 / 1e3,
-            r.stats.slots_filled,
-            r.stats.slots_idle,
-            r.stats.batches_merged,
-        );
-    }
     println!(
-        "mixed_tenants continuous vs fixed: {mixed_ratio:.2}x samples/s, \
-         {interactive_p99_improvement:.2}x lower interactive p99 wait"
+        "mixed_tenants: {} samples in {:.3}s ({:.2} samples/s); \
+         interactive wait p50/p99 = {:.1}/{:.1} ms; \
+         slots filled/idle = {}/{}; merged passes = {}",
+        mixed_cont.samples,
+        mixed_cont.seconds,
+        mixed_cont.samples as f64 / mixed_cont.seconds,
+        mixed_cont.stats.wait_p50_micros_by_class.interactive as f64 / 1e3,
+        mixed_cont.stats.wait_p99_micros_by_class.interactive as f64 / 1e3,
+        mixed_cont.stats.slots_filled,
+        mixed_cont.stats.slots_idle,
+        mixed_cont.stats.batches_merged,
     );
     println!();
     for r in &fleet_best {
@@ -993,7 +921,6 @@ fn main() {
         "pretrain_tiny": pretrain,
         "modes": mode_rows,
         "speedup_batched_vs_per_sample_naive": speedup,
-        "streamed_vs_batched": stream_ratio,
         "engine_sched_vs_batched": engine_ratio,
         "qos_sched_vs_batched": qos_ratio,
         "qos_sched_stats": qos_stats_row,
@@ -1005,10 +932,7 @@ fn main() {
             "retries": faulted_retries,
         }),
         "mixed_tenants": json!({
-            "fixed": mixed_row(&mixed_fixed),
             "continuous": mixed_row(&mixed_cont),
-            "continuous_vs_fixed_samples_per_sec": mixed_ratio,
-            "interactive_p99_wait_fixed_over_continuous": interactive_p99_improvement,
         }),
         "fleet_replicas": json!({
             "jobs": fleet_jobs,

@@ -126,8 +126,8 @@ impl EngineCore {
     }
 
     /// The sampler a round runs through: the configured override, the
-    /// shared scheduler when one is attached, or a private
-    /// [`DiffusionSampler`] pool.
+    /// shared scheduler when one is attached, or a
+    /// [`DiffusionSampler`] with a private one.
     pub(crate) fn sampler(
         &self,
         cfg: &PipelineConfig,
@@ -627,7 +627,7 @@ impl Session {
     }
 
     /// Routes this session's sampling through a shared scheduler
-    /// instead of a private worker pool. Results are bit-identical
+    /// instead of a private per-round one. Results are bit-identical
     /// either way.
     pub fn attach(mut self, scheduler: &Scheduler) -> Session {
         self.scheduler = Some(scheduler.handle());

@@ -71,7 +71,7 @@ pub enum PpError {
         detail: String,
     },
     /// A hard deadline passed before the work finished; the submission
-    /// was cooperatively cancelled between micro-batches. Jobs
+    /// was cooperatively cancelled at a slot admission. Jobs
     /// resolving through the service surface this as
     /// [`crate::JobOutcome::TimedOut`] with their partial results.
     DeadlineExceeded {

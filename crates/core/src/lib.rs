@@ -39,10 +39,11 @@
 //! method through the one [`stages::run_round`] harness.
 //!
 //! **Streams.** [`PatternPaint::generate_stream`] turns a
-//! [`GenerationRequest`] into an iterator of raw samples backed by the
-//! model's batched workers through bounded channels, with a
-//! [`ProgressHook`] per micro-batch and a cooperative [`CancelToken`]
-//! checked between micro-batches. The round-level entry points are
+//! [`GenerationRequest`] into an iterator of raw samples, delivered in
+//! job order as they finish, with a [`ProgressHook`] and a cooperative
+//! [`CancelToken`] checked at every slot admission. Every stream runs
+//! through a [`Scheduler`] — a private one per request unless a session
+//! is attached to a shared one. The round-level entry points are
 //! consumers of this stream, so blocking and streaming callers see
 //! bit-identical results.
 //!
@@ -154,9 +155,8 @@ pub use jobspec::{JobKind, JobSpec, QosClass, RetryPolicy};
 pub use library::PatternLibrary;
 pub use pipeline::{GenerationRound, IterationStats, PatternPaint, RawSample};
 pub use scheduler::{
-    ClassCounts, DeadlineFirst, DispatchMode, QueueLimits, RoundRobin, SchedPolicy, SchedView,
-    ScheduledSampler, Scheduler, SchedulerHandle, SchedulerOptions, SchedulerStats, SessionSched,
-    WeightedFair,
+    ClassCounts, DeadlineFirst, QueueLimits, RoundRobin, SchedPolicy, SchedView, ScheduledSampler,
+    Scheduler, SchedulerHandle, SchedulerOptions, SchedulerStats, SessionSched, WeightedFair,
 };
 pub use service::{
     JobHandle, JobOutcome, JobReport, JobStatus, Service, ServiceOptions, ServiceStats,

@@ -295,11 +295,11 @@ impl PatternPaint {
 
     /// Streams raw samples for a request as they finish, in job order.
     ///
-    /// The stream is fed by the model's batched sampling workers
-    /// through bounded channels; `opts` wires in a progress hook, a
-    /// cancellation token (checked between micro-batches — cancelling
-    /// ends the stream early with the samples already finished), and a
-    /// backpressure bound. The round-level entry points
+    /// The stream is fed by a private scheduler's sampling workers;
+    /// `opts` wires in a progress hook, a cancellation token (checked
+    /// at every slot admission — cancelling ends the stream early with
+    /// the samples already in flight), and the QoS class and deadline
+    /// of the submission. The round-level entry points
     /// ([`PatternPaint::initial_generation`],
     /// [`PatternPaint::iterative_generation`]) consume exactly this
     /// stream, so their outputs match streaming consumers bit for bit.
@@ -660,12 +660,9 @@ mod tests {
         let pp = tiny_pipeline();
         let request = pp.initial_request(); // 200 jobs
         let cancel = CancelToken::new();
-        // capacity 1 + the tiny batch size bound how far workers run
-        // ahead of the consumer after cancellation.
-        let opts = StreamOptions::default()
-            .with_cancel(cancel.clone())
-            .with_capacity(1)
-            .expect("positive capacity is valid");
+        // The tiny batch size bounds how many admitted jobs still finish
+        // after cancellation.
+        let opts = StreamOptions::default().with_cancel(cancel.clone());
         let stream = pp.generate_stream(&request, &opts).expect("stream starts");
         let mut yielded = 0;
         for sample in stream {

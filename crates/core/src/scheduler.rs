@@ -1,12 +1,12 @@
 //! The engine scheduler: many sessions' requests, one model, pluggable
 //! QoS policies over continuously batched slot dispatch.
 //!
-//! A solo pipeline gives each generation round a private pool of
-//! sampling workers ([`crate::DiffusionSampler`] spawns them per
-//! request). When one [`crate::Engine`] serves many [`crate::Session`]s
-//! that is the wrong shape: N concurrent rounds would fight over cores
-//! with N×`threads` workers, and a long round would starve a short one.
-//! The [`Scheduler`] instead owns a fixed pool of
+//! This is the one dispatcher every sampling round runs through. A
+//! solo round gets a private scheduler ([`crate::DiffusionSampler`]
+//! builds one per request); when one [`crate::Engine`] serves many
+//! [`crate::Session`]s they share one instead, so N concurrent rounds do
+//! not fight over cores with N×`threads` workers and a long round does
+//! not starve a short one. A [`Scheduler`] owns a fixed pool of
 //! [`pp_diffusion::InpaintWorker`]s bound to the engine's shared model
 //! and **continuously batches** submissions at slot granularity: each
 //! worker keeps a slot table ([`pp_diffusion::SlotFeed`]) of in-flight
@@ -19,19 +19,13 @@
 //! submission monopolising a worker for a whole fixed batch. An
 //! Interactive job arriving mid-flight therefore starts at the next
 //! step boundary, not the next batch boundary.
-//! [`SchedulerOptions::dispatch`] can restore the pre-slot dispatch
-//! ([`DispatchMode::FixedBatch`]) for comparison — `sampling_bench`'s
-//! `mixed_tenants` mode races the two.
 //!
 //! **Which** submissions fill free slots first is a [`SchedPolicy`]
 //! decision, pluggable at build time
 //! ([`crate::Engine::scheduler_with`]): the policy *ranks* the queue
 //! ([`SchedPolicy::rank`], most-preferred first) and the dispatcher
 //! walks the ranking, admitting up to each submission's micro-batch
-//! width. Existing policies that only implement the legacy
-//! [`SchedPolicy::pick`] keep working through a built-in shim (rank =
-//! repeated pick), so custom policies from the QoS redesign need no
-//! change.
+//! width.
 //!
 //! * [`RoundRobin`] (default) — strict rotation, every submission gets
 //!   an equal share; admission order matches the pre-slot scheduler's
@@ -129,8 +123,8 @@ use std::time::{Duration, Instant};
 // Scheduling policies
 // ---------------------------------------------------------------------
 
-/// What a [`SchedPolicy`] sees of one queued submission when picking
-/// the next micro-batch.
+/// What a [`SchedPolicy`] sees of one queued submission when ranking
+/// the queue.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedView {
     /// The submission's QoS class.
@@ -164,47 +158,19 @@ pub struct SchedView {
 /// submissions then move to the back of the queue (which is what makes
 /// [`RoundRobin`]'s identity ranking a strict rotation).
 ///
-/// Pre-continuous-batching policies only implemented
-/// [`SchedPolicy::pick`] (choose one index). They still work unchanged:
-/// the default [`SchedPolicy::rank`] builds a full ranking by calling
-/// `pick` repeatedly on the shrinking remainder of the queue, which
-/// reproduces the old "pick, dispatch, re-pick" dispatch order exactly.
-/// Override `rank` directly to order the whole queue in one call.
-///
 /// Implementations must be deterministic in the queue contents: tests
 /// replay schedules and assert bit-identical libraries.
 pub trait SchedPolicy: Send {
     /// A short name for stats and reports.
     fn name(&self) -> &str;
 
-    /// Index into `queue` (non-empty) of the most-preferred
-    /// submission. Legacy single-pick interface; the dispatcher only
-    /// calls [`SchedPolicy::rank`].
-    fn pick(&mut self, queue: &[SchedView]) -> usize;
-
     /// Queue indices in admission order, most-preferred first. Free
     /// slots are offered to `queue[rank[0]]` first, then `rank[1]`,
-    /// and so on.
-    ///
-    /// The default implementation ranks by repeated [`pick`] over the
-    /// shrinking remainder (with out-of-range picks clamped), so a
-    /// `pick`-only policy behaves exactly as it did under fixed
-    /// micro-batch dispatch. The dispatcher tolerates sloppy output —
+    /// and so on. The dispatcher tolerates sloppy output —
     /// out-of-range and duplicate indices are dropped, missing ones
     /// appended in queue order — a malformed ranking is a fairness
     /// bug, never a stall.
-    ///
-    /// [`pick`]: SchedPolicy::pick
-    fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
-        let mut remaining: Vec<usize> = (0..queue.len()).collect();
-        let mut order = Vec::with_capacity(queue.len());
-        while !remaining.is_empty() {
-            let views: Vec<SchedView> = remaining.iter().map(|&i| queue[i]).collect();
-            let p = self.pick(&views).min(remaining.len() - 1);
-            order.push(remaining.remove(p));
-        }
-        order
-    }
+    fn rank(&mut self, queue: &[SchedView]) -> Vec<usize>;
 }
 
 /// Strict rotation: every active submission gets an equal micro-batch
@@ -216,10 +182,6 @@ pub struct RoundRobin;
 impl SchedPolicy for RoundRobin {
     fn name(&self) -> &str {
         "round-robin"
-    }
-
-    fn pick(&mut self, _queue: &[SchedView]) -> usize {
-        0
     }
 
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
@@ -259,20 +221,9 @@ impl SchedPolicy for WeightedFair {
         "weighted-fair"
     }
 
-    fn pick(&mut self, queue: &[SchedView]) -> usize {
-        let mut best = 0;
-        for (i, view) in queue.iter().enumerate().skip(1) {
-            if stride_key(view) < stride_key(&queue[best]) {
-                best = i;
-            }
-        }
-        best
-    }
-
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
-        // Stable sort by (pass, stride) == repeated min-extraction
-        // with ties toward the heavier class then the oldest:
-        // identical to the pick shim, in one pass.
+        // Stable sort by (pass, stride): ties go to the heavier class,
+        // then the oldest.
         let mut order: Vec<usize> = (0..queue.len()).collect();
         order.sort_by_key(|&i| stride_key(&queue[i]));
         order
@@ -292,25 +243,9 @@ impl SchedPolicy for DeadlineFirst {
         "deadline-first"
     }
 
-    fn pick(&mut self, queue: &[SchedView]) -> usize {
-        let mut best: Option<(Instant, usize)> = None;
-        for (i, view) in queue.iter().enumerate() {
-            if let Some(d) = view.deadline {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, i));
-                }
-            }
-        }
-        match best {
-            Some((_, i)) => i,
-            None => WeightedFair.pick(queue),
-        }
-    }
-
     fn rank(&mut self, queue: &[SchedView]) -> Vec<usize> {
         // Deadline holders first (earliest first, ties oldest — the
-        // stable sort), then the rest in weighted-fair order: exactly
-        // what repeated `pick` extraction produces.
+        // stable sort), then the rest in weighted-fair order.
         let mut dated: Vec<usize> = (0..queue.len())
             .filter(|&i| queue[i].deadline.is_some())
             .collect();
@@ -481,7 +416,7 @@ pub struct SchedulerStats {
     /// many slots of the stepping worker's table sat empty.
     pub slots_idle: u64,
     /// Network steps whose slot table mixed jobs from more than one
-    /// submission — forward passes that fixed dispatch would have run
+    /// submission — passes a per-submission batch would have run
     /// separately (and narrower).
     pub batches_merged: u64,
     /// Cumulative submit → first-dispatch latency, microseconds.
@@ -599,35 +534,14 @@ impl SchedulerStats {
     }
 }
 
-/// How workers turn queued submissions into network passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Continuous batching (the default): a worker admits jobs from
-    /// *any* queued submission into free slots of its in-flight DDIM
-    /// step loop, at step granularity. Micro-batches form across
-    /// sessions the moment capacity frees up; per-job results are
-    /// bit-identical to every other mode because a job's arithmetic
-    /// never depends on its batch neighbours.
-    #[default]
-    Continuous,
-    /// The pre-slot dispatch, kept as an in-tree baseline and
-    /// migration escape hatch: a worker only refills an *empty* slot
-    /// table, and only from the single top-ranked submission — one
-    /// fixed micro-batch at a time, run to completion.
-    /// `sampling_bench`'s `mixed_tenants` mode races this against
-    /// [`DispatchMode::Continuous`].
-    FixedBatch,
-}
-
 /// Build-time scheduler configuration: the [`SchedPolicy`] and the
 /// per-class admission bounds. `Default` is [`RoundRobin`] with
-/// [`QueueLimits::default`] under [`DispatchMode::Continuous`].
+/// [`QueueLimits::default`].
 pub struct SchedulerOptions {
     policy: Box<dyn SchedPolicy>,
     limits: QueueLimits,
     faults: FaultPlan,
     shed_wait: Option<Duration>,
-    dispatch: DispatchMode,
     slot_capacity: usize,
 }
 
@@ -638,7 +552,6 @@ impl Default for SchedulerOptions {
             limits: QueueLimits::default(),
             faults: FaultPlan::new(),
             shed_wait: None,
-            dispatch: DispatchMode::default(),
             slot_capacity: 0,
         }
     }
@@ -651,7 +564,6 @@ impl std::fmt::Debug for SchedulerOptions {
             .field("limits", &self.limits)
             .field("faults", &self.faults.remaining())
             .field("shed_wait", &self.shed_wait)
-            .field("dispatch", &self.dispatch)
             .field("slot_capacity", &self.slot_capacity)
             .finish()
     }
@@ -683,19 +595,11 @@ impl SchedulerOptions {
         self
     }
 
-    /// Selects the [`DispatchMode`] (default
-    /// [`DispatchMode::Continuous`]).
-    pub fn dispatch(mut self, mode: DispatchMode) -> SchedulerOptions {
-        self.dispatch = mode;
-        self
-    }
-
-    /// Overrides the per-worker slot-table capacity under
-    /// [`DispatchMode::Continuous`]. `0` (the default) sizes the table
-    /// automatically to 1.5× the largest queued micro-batch width, so
-    /// one submission's full micro-batch plus headroom for a newly
-    /// arrived tenant fit in a single network pass. Ignored under
-    /// [`DispatchMode::FixedBatch`].
+    /// Overrides the per-worker slot-table capacity. `0` (the default)
+    /// sizes the table automatically to 1.5× the largest queued
+    /// micro-batch width, so one submission's full micro-batch plus
+    /// headroom for a newly arrived tenant fit in a single network
+    /// pass.
     pub fn slot_capacity(mut self, slots: usize) -> SchedulerOptions {
         self.slot_capacity = slots;
         self
@@ -746,7 +650,7 @@ struct Submission {
     pass: u64,
     /// Slots admitted since `pass` last advanced: every `batch` slots
     /// of work costs one class stride, so slot-granular admission
-    /// charges the same virtual time per job as fixed dispatch did.
+    /// charges one stride per micro-batch worth of jobs.
     credits: usize,
     session: u64,
     class: QosClass,
@@ -875,7 +779,6 @@ struct Shared {
     has_faults: bool,
     faults: Mutex<FaultPlan>,
     shed_wait: Option<Duration>,
-    dispatch: DispatchMode,
     /// Slot-table capacity override (0 = auto, see
     /// [`SchedulerOptions::slot_capacity`]).
     slot_capacity: usize,
@@ -902,8 +805,7 @@ fn lock_state(shared: &Shared) -> MutexGuard<'_, SchedState> {
 /// retire as `abandoned` (dropping the sender ends the stream — cleanly
 /// for cancellation, which is not an error), expired hard deadlines as
 /// `timed_out` with a typed abort. Slots already admitted keep running
-/// and deliver — cancellation and deadlines act on *queued* work, like
-/// the fixed dispatcher's between-batch enforcement points. Every
+/// and deliver — cancellation and deadlines act on *queued* work. Every
 /// retirement path records its terminal timestamp into
 /// `turnaround_micros`, so abandoned and timed-out stragglers no longer
 /// vanish from turnaround accounting (they used to be recorded only on
@@ -1112,16 +1014,8 @@ impl SchedFeed {
         if st.queue.is_empty() {
             return Vec::new();
         }
-        let fixed = self.shared.dispatch == DispatchMode::FixedBatch;
-        if fixed && active > 0 {
-            // Pre-slot dispatch semantics: a worker only takes new
-            // work once its table fully drained.
-            return Vec::new();
-        }
         let max_batch = st.queue.iter().map(|s| s.batch).max().unwrap_or(1);
-        let capacity = if fixed {
-            max_batch
-        } else if self.shared.slot_capacity > 0 {
+        let capacity = if self.shared.slot_capacity > 0 {
             self.shared.slot_capacity
         } else {
             // Auto sizing: the widest queued micro-batch plus 50%
@@ -1134,7 +1028,7 @@ impl SchedFeed {
         if free == 0 {
             return Vec::new();
         }
-        if !fixed && active == 0 {
+        if active == 0 {
             // Admission-side de-aligner: a cold table filled in one
             // refill with uniform-length jobs retires every slot at
             // the same boundary forever — the table stays
@@ -1144,8 +1038,7 @@ impl SchedFeed {
             // the remainder is admitted at the very next step boundary
             // (refill runs after every step), one step out of phase,
             // so slots free up twice per lifetime from then on. Costs
-            // at most one half-idle step per cold start; FixedBatch
-            // keeps its run-to-completion semantics.
+            // at most one half-idle step per cold start.
             free = free.min(capacity.div_ceil(2)).max(1);
         }
         let views = views_of(&st.queue);
@@ -1172,17 +1065,13 @@ impl SchedFeed {
             }
             let my_inflight = self.routes.get(&sub.uid).map_or(0, |r| r.inflight);
             // Per-worker share: one submission may hold at most its
-            // micro-batch width in any single worker's table —
-            // preserving the fixed dispatcher's concurrency bound of
-            // `batch × workers` jobs in flight per submission.
-            let allow = if fixed && !admitted_order.is_empty() {
-                0 // fixed mode admits from the top-ranked submission only
-            } else {
-                sub.batch
-                    .saturating_sub(my_inflight)
-                    .min(sub.jobs.len() - sub.cursor)
-                    .min(free)
-            };
+            // micro-batch width in any single worker's table, bounding
+            // it to `batch × workers` jobs in flight.
+            let allow = sub
+                .batch
+                .saturating_sub(my_inflight)
+                .min(sub.jobs.len() - sub.cursor)
+                .min(free);
             if allow == 0 {
                 continue;
             }
@@ -1246,9 +1135,7 @@ impl SchedFeed {
                 sub.dispatched += 1;
                 sub.cursor += n;
                 // Advance virtual time by the class stride (4 /
-                // weight) once per micro-batch worth of slots, so
-                // slot-granular admission charges the same pass per
-                // job as fixed dispatch did.
+                // weight) once per micro-batch worth of slots.
                 sub.credits += n;
                 let stride = u64::from(QosClass::Interactive.weight() / sub.class.weight());
                 while sub.credits >= sub.batch {
@@ -1380,9 +1267,7 @@ impl SlotFeed for SchedFeed {
             Ordering::Relaxed,
         );
         if self.routes.len() > 1 {
-            // This pass packs jobs from >1 submission: a batch the
-            // fixed dispatcher would have run as separate (narrower)
-            // passes.
+            // This pass packs jobs from >1 submission.
             self.shared.batches_merged.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1431,7 +1316,7 @@ fn worker_loop(shared: &Arc<Shared>, model: &Arc<DiffusionModel>) {
 
 /// Upper bound on worker-loop respawns per thread: far above anything a
 /// fault plan produces, low enough that a deterministically crashing
-/// loop (a policy that panics on every pick) cannot spin forever.
+/// loop (a policy that panics on every ranking) cannot spin forever.
 const MAX_RESPAWNS: u64 = 64;
 
 /// The supervisor each worker thread actually runs: re-enters
@@ -1531,7 +1416,6 @@ impl Scheduler {
             has_faults: !options.faults.is_empty(),
             faults: Mutex::new(options.faults),
             shed_wait: options.shed_wait,
-            dispatch: options.dispatch,
             slot_capacity: options.slot_capacity,
             slots_filled: AtomicU64::new(0),
             slots_idle: AtomicU64::new(0),
@@ -1886,14 +1770,14 @@ impl Iterator for ScheduledRx {
     }
 }
 
-/// A [`Sampler`] that routes requests through a shared [`Scheduler`]
-/// instead of spawning a private worker pool.
+/// A [`Sampler`] that routes requests through a [`Scheduler`].
 ///
 /// This is what a [`crate::Session`] with an attached scheduler runs
-/// its rounds through; outputs are bit-identical to
-/// [`crate::DiffusionSampler`] over the same model because per-job RNG
-/// streams (`seed ^ index`) and in-order delivery are preserved and
-/// micro-batch grouping never affects a job's arithmetic. The QoS
+/// its rounds through, and what [`crate::DiffusionSampler`] wraps
+/// around a private scheduler per request; outputs are bit-identical
+/// either way because per-job RNG streams (`seed ^ index`) and in-order
+/// delivery are preserved and micro-batch grouping never affects a
+/// job's arithmetic. The QoS
 /// class and soft deadline of each submission come from the
 /// [`StreamOptions`] the round runs under
 /// ([`StreamOptions::with_class`] / [`StreamOptions::with_deadline`]).
@@ -2038,7 +1922,7 @@ mod tests {
             view(QosClass::BestEffort, None, 9),
             view(QosClass::Interactive, Some(1), 0),
         ];
-        assert_eq!(RoundRobin.pick(&q), 0);
+        assert_eq!(RoundRobin.rank(&q)[0], 0);
     }
 
     #[test]
@@ -2050,7 +1934,7 @@ mod tests {
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 3),
         ];
-        assert_eq!(WeightedFair.pick(&q), 1);
+        assert_eq!(WeightedFair.rank(&q)[0], 1);
         // At pass parity the heavier class wins — at equal virtual
         // time the better QoS class is served first, so an interactive
         // arrival at the frontier preempts a best-effort flood at the
@@ -2059,20 +1943,20 @@ mod tests {
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 4),
         ];
-        assert_eq!(WeightedFair.pick(&q), 1);
+        assert_eq!(WeightedFair.rank(&q)[0], 1);
         // At pass *and* weight parity the oldest submission wins.
         let q = [
             view(QosClass::Batch, None, 2),
             view(QosClass::Batch, None, 2),
         ];
-        assert_eq!(WeightedFair.pick(&q), 0);
+        assert_eq!(WeightedFair.rank(&q)[0], 0);
         // Single-class queues degrade to exact round-robin: equal
         // counts pick the front.
         let q = [
             view(QosClass::Batch, None, 2),
             view(QosClass::Batch, None, 2),
         ];
-        assert_eq!(WeightedFair.pick(&q), 0);
+        assert_eq!(WeightedFair.rank(&q)[0], 0);
         // A newcomer joins at the frontier (submit initialises its
         // pass to the queue minimum), so an old submission with many
         // dispatches is not starved while the newcomer "catches up":
@@ -2083,7 +1967,7 @@ mod tests {
             view_at(QosClass::BestEffort, None, 0, 600),
         ];
         assert_eq!(
-            WeightedFair.pick(&q),
+            WeightedFair.rank(&q)[0],
             0,
             "frontier newcomer must not preempt the established share"
         );
@@ -2118,13 +2002,13 @@ mod tests {
             view(QosClass::Batch, Some(10), 5),
         ];
         // The tightest deadline wins regardless of class or position.
-        assert_eq!(DeadlineFirst.pick(&q), 2);
+        assert_eq!(DeadlineFirst.rank(&q)[0], 2);
         // No deadlines anywhere: weighted-fair order.
         let q = [
             view(QosClass::BestEffort, None, 1),
             view(QosClass::Interactive, None, 3),
         ];
-        assert_eq!(DeadlineFirst.pick(&q), 1);
+        assert_eq!(DeadlineFirst.rank(&q)[0], 1);
     }
 
     #[test]

@@ -1000,8 +1000,8 @@ pub enum JobOutcome {
         partial: JobReport,
     },
     /// The job's hard deadline ([`JobSpec::with_hard_deadline`]) passed
-    /// before it finished: the scheduler cancelled the work between
-    /// micro-batches and the rounds that completed in time survive in
+    /// before it finished: the scheduler cancelled the work at a slot
+    /// admission and the rounds that completed in time survive in
     /// `partial`. Timed-out jobs never retry — the deadline is a
     /// property of the request, not a transient fault.
     TimedOut {

@@ -20,11 +20,12 @@ use crate::error::PpError;
 use crate::jobs::JobSet;
 use crate::library::PatternLibrary;
 use crate::pipeline::{GenerationRound, RawSample};
+use crate::scheduler::{ScheduledSampler, Scheduler};
 use crate::stream::{GenerationRequest, Progress, StreamOptions};
 use crate::tail;
 use pp_diffusion::DiffusionModel;
 use pp_drc::{check_layout, check_squish, RuleDeck};
-use pp_geometry::{GrayImage, Layout, SquishPattern};
+use pp_geometry::{Layout, SquishPattern};
 use pp_selection::PcaSelector;
 use std::sync::Arc;
 
@@ -54,8 +55,8 @@ pub trait Sampler: Send + Sync {
     ///
     /// The default computes everything up front and then iterates — a
     /// correct but unmetered fallback for samplers without incremental
-    /// delivery. [`DiffusionSampler`] overrides it with true
-    /// bounded-channel streaming.
+    /// delivery. [`DiffusionSampler`] overrides it to deliver each
+    /// sample as it finishes.
     fn sample_stream(
         &self,
         jobs: &JobSet,
@@ -76,8 +77,16 @@ pub trait Sampler: Send + Sync {
     }
 }
 
-/// The default sampler: mask-conditioned DDIM inpainting through the
-/// model's micro-batched worker pool.
+/// The default sampler: mask-conditioned DDIM inpainting through a
+/// private engine scheduler.
+///
+/// Each request spawns a [`Scheduler`] with `threads` workers over the
+/// shared model and streams through [`ScheduledSampler`], so a solo
+/// round runs the same slot loop, dispatcher and delivery as a shared
+/// one: it honours [`StreamOptions::class`], deadlines and hard
+/// deadlines, and reports a worker panic as [`PpError::WorkerPanic`].
+/// The stream owns its scheduler; dropping it drains and joins the
+/// workers.
 #[derive(Debug, Clone)]
 pub struct DiffusionSampler {
     model: Arc<DiffusionModel>,
@@ -86,8 +95,9 @@ pub struct DiffusionSampler {
 }
 
 impl DiffusionSampler {
-    /// Wraps a model with the worker/micro-batch counts the jobs will
-    /// run under.
+    /// Wraps a model with the worker count and micro-batch width the
+    /// jobs will run under (`batch_size == 0` = one worker's share,
+    /// `⌈jobs / threads⌉`).
     pub fn new(model: DiffusionModel, threads: usize, batch_size: usize) -> Self {
         Self::from_arc(Arc::new(model), threads, batch_size)
     }
@@ -106,10 +116,35 @@ impl DiffusionSampler {
         &self.model
     }
 
-    fn job_images(jobs: &JobSet) -> Vec<(GrayImage, GrayImage)> {
-        jobs.iter()
-            .map(|(l, m)| (GrayImage::from_layout(l), m.as_image().clone()))
-            .collect()
+    /// A private scheduler for a request of `jobs` jobs, and the
+    /// sampler submitting through it.
+    fn private_scheduler(&self, jobs: usize) -> (Scheduler, ScheduledSampler) {
+        let threads = self.threads.max(1);
+        let batch_size = if self.batch_size == 0 {
+            jobs.div_ceil(threads).max(1)
+        } else {
+            self.batch_size
+        };
+        let scheduler = Scheduler::new(Arc::clone(&self.model), threads);
+        let sampler = ScheduledSampler::new(scheduler.handle(), batch_size);
+        (scheduler, sampler)
+    }
+}
+
+/// A sample stream that owns the private scheduler feeding it. Fields
+/// drop in order: the stream's receiver first, so a consumer that stops
+/// early retires its submission, then the scheduler, which drains and
+/// joins its workers.
+struct PrivateStream {
+    samples: SampleStream,
+    _scheduler: Scheduler,
+}
+
+impl Iterator for PrivateStream {
+    type Item = Result<RawSample, PpError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.samples.next()
     }
 }
 
@@ -119,36 +154,8 @@ impl Sampler for DiffusionSampler {
     }
 
     fn sample(&self, jobs: &JobSet, seed: u64) -> Result<Vec<RawSample>, PpError> {
-        // Collect our own stream rather than going through the model's
-        // blocking wrapper: the workers then share `self.model`'s
-        // allocation instead of cloning the weights per call.
-        let stream = self.model.sample_inpaint_stream(
-            Self::job_images(jobs),
-            seed,
-            self.threads,
-            self.batch_size,
-            0,
-            pp_diffusion::CancelToken::new(),
-        )?;
-        let mut raws = Vec::with_capacity(jobs.len());
-        for mb in stream {
-            raws.extend(mb.samples);
-        }
-        if raws.len() != jobs.len() {
-            return Err(PpError::Model(format!(
-                "sampler returned {} of {} samples",
-                raws.len(),
-                jobs.len()
-            )));
-        }
-        Ok(jobs
-            .iter()
-            .zip(raws)
-            .map(|((template, _), raw)| RawSample {
-                template: Arc::clone(template),
-                raw,
-            })
-            .collect())
+        let (_scheduler, sampler) = self.private_scheduler(jobs.len());
+        sampler.sample(jobs, seed)
     }
 
     fn sample_stream(
@@ -157,31 +164,12 @@ impl Sampler for DiffusionSampler {
         seed: u64,
         opts: &StreamOptions,
     ) -> Result<SampleStream, PpError> {
-        let total = jobs.len();
-        let inner = self.model.sample_inpaint_stream(
-            Self::job_images(jobs),
-            seed,
-            self.threads,
-            self.batch_size,
-            opts.capacity.unwrap_or(0),
-            opts.cancel.clone(),
-        )?;
-        let templates: Vec<Arc<Layout>> = jobs.iter().map(|(t, _)| Arc::clone(t)).collect();
-        let hook = opts.progress.clone();
-        let mut completed = 0usize;
-        let iter = inner.flat_map(move |mb| {
-            completed += mb.samples.len();
-            if let Some(hook) = &hook {
-                hook(Progress { completed, total });
-            }
-            let batch_templates = templates[mb.start..mb.start + mb.samples.len()].to_vec();
-            mb.samples
-                .into_iter()
-                .zip(batch_templates)
-                .map(|(raw, template)| Ok(RawSample { template, raw }))
-                .collect::<Vec<_>>()
-        });
-        Ok(Box::new(iter))
+        let (scheduler, sampler) = self.private_scheduler(jobs.len());
+        let samples = sampler.sample_stream(jobs, seed, opts)?;
+        Ok(Box::new(PrivateStream {
+            samples,
+            _scheduler: scheduler,
+        }))
     }
 }
 
@@ -440,4 +428,77 @@ pub fn denoise_and_admit(
     }
     let verdict = tail::prepare(denoiser, validator, sample, None);
     tail::admit(verdict, library)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PipelineConfig;
+    use crate::stream::CancelToken;
+    use pp_inpaint::MaskSet;
+    use pp_pdk::SynthNode;
+
+    /// A tiny model plus `n` jobs cycling the small node's starters and
+    /// masks.
+    fn tiny_jobs(n: usize) -> (Arc<DiffusionModel>, JobSet) {
+        let node = SynthNode::small();
+        let model = Arc::new(DiffusionModel::new(PipelineConfig::tiny().model, 3));
+        let masks = MaskSet::Default.masks(node.clip());
+        (model, JobSet::cycle(&node.starter_patterns(), &masks, n))
+    }
+
+    /// Dropping a solo stream after its first sample retires the
+    /// submission and joins the private scheduler's workers: once the
+    /// drop returns, no worker holds the model any more.
+    #[test]
+    fn dropping_a_stream_stops_workers() {
+        let (model, jobs) = tiny_jobs(12);
+        let sampler = DiffusionSampler::from_arc(Arc::clone(&model), 2, 1);
+        let mut stream = sampler
+            .sample_stream(&jobs, 9, &StreamOptions::default())
+            .expect("jobs are well-formed");
+        let first = stream.next().expect("at least one sample");
+        assert!(first.is_ok(), "first sample failed: {first:?}");
+        assert!(
+            Arc::strong_count(&model) > 2,
+            "the workers hold the model while the stream is live"
+        );
+        drop(stream);
+        assert_eq!(
+            Arc::strong_count(&model),
+            2,
+            "the private workers outlived their stream"
+        );
+    }
+
+    /// Solo rounds run through the scheduler, so a hard deadline that
+    /// has already passed ends the stream with a typed error.
+    #[test]
+    fn expired_hard_deadline_ends_a_solo_stream_with_a_typed_error() {
+        let (model, jobs) = tiny_jobs(4);
+        let opts = StreamOptions::default().with_hard_deadline(std::time::Duration::ZERO);
+        let err = DiffusionSampler::from_arc(model, 1, 1)
+            .sample_stream(&jobs, 5, &opts)
+            .expect("jobs are well-formed")
+            .find_map(Result::err)
+            .expect("an expired hard deadline must surface");
+        assert!(
+            matches!(err, PpError::DeadlineExceeded { .. }),
+            "wrong error: {err}"
+        );
+    }
+
+    /// A stream whose token was cancelled before it started yields
+    /// nothing.
+    #[test]
+    fn pre_cancelled_stream_yields_nothing() {
+        let (model, jobs) = tiny_jobs(6);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let opts = StreamOptions::default().with_cancel(cancel);
+        let stream = DiffusionSampler::from_arc(model, 2, 1)
+            .sample_stream(&jobs, 3, &opts)
+            .expect("jobs are well-formed");
+        assert_eq!(stream.count(), 0);
+    }
 }

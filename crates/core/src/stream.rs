@@ -1,14 +1,41 @@
 //! Streaming generation requests: what to sample and how to observe it.
 
-use crate::error::PpError;
 use crate::jobs::JobSet;
 use crate::jobspec::QosClass;
 use pp_geometry::Layout;
 use pp_inpaint::Mask;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use pp_diffusion::CancelToken;
+/// A cooperative cancellation flag shared between a stream's consumer
+/// and the scheduler feeding it.
+///
+/// The scheduler checks the token at every slot admission: after
+/// [`CancelToken::cancel`] no *new* job starts, while jobs already in
+/// flight finish and still reach the consumer (partial results).
+/// Cloning shares the flag.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+}
+
+impl CancelToken {
+    /// A fresh, un-cancelled token.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Requests cancellation; idempotent.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether cancellation has been requested.
+    pub fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
 
 /// Progress of a running generation stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,23 +46,19 @@ pub struct Progress {
     pub total: usize,
 }
 
-/// Callback invoked after every finished micro-batch (from the thread
-/// consuming the stream, never concurrently).
+/// Callback invoked as finished samples reach the consumer (from the
+/// thread consuming the stream, never concurrently).
 pub type ProgressHook = Arc<dyn Fn(Progress) + Send + Sync>;
 
-/// How a stream is delivered: metering, cancellation, backpressure.
+/// How a stream is delivered: metering, cancellation, QoS.
 #[derive(Clone, Default)]
 pub struct StreamOptions {
-    /// Cooperative cancellation, checked between micro-batches; after
+    /// Cooperative cancellation, checked at every slot admission; after
     /// [`CancelToken::cancel`] the stream ends early with whatever
-    /// samples were already finished.
+    /// samples were already in flight.
     pub cancel: CancelToken,
-    /// Invoked after each finished micro-batch.
+    /// Invoked as finished samples reach the consumer.
     pub progress: Option<ProgressHook>,
-    /// Micro-batches buffered per sampling worker before sampling
-    /// blocks (backpressure for slow consumers); `None` buffers a
-    /// worker's whole chunk so sampling never waits on the consumer.
-    pub capacity: Option<usize>,
     /// Worker threads for the round tail (denoise → DRC → dedupe).
     /// `Some(0)` forces the serial tail; `None` defers to the
     /// pipeline's [`crate::PipelineConfig::tail_threads`] (or serial,
@@ -44,8 +67,9 @@ pub struct StreamOptions {
     pub tail_threads: Option<usize>,
     /// QoS class attached to scheduler submissions made under these
     /// options: it selects the admission queue and the share weight
-    /// under class-aware policies ([`crate::WeightedFair`]). Ignored by
-    /// private (non-scheduled) worker pools.
+    /// under class-aware policies ([`crate::WeightedFair`]). A solo
+    /// [`crate::DiffusionSampler`] round is the only submission on its
+    /// private scheduler, so there the class only picks the queue.
     pub class: QosClass,
     /// Deadline attached to scheduler submissions, measured from the
     /// moment of submission. Soft by default: [`crate::DeadlineFirst`]
@@ -53,10 +77,10 @@ pub struct StreamOptions {
     /// passes. See [`StreamOptions::hard_deadline`] for enforcement.
     pub deadline: Option<Duration>,
     /// Makes [`StreamOptions::deadline`] *hard*: once it passes, the
-    /// scheduler cooperatively cancels the submission between
-    /// micro-batches with [`crate::PpError::DeadlineExceeded`]
-    /// (micro-batches already finished still reach the consumer, so
-    /// partial results survive). Meaningless without a deadline set.
+    /// scheduler cooperatively cancels the submission at its next slot
+    /// admission with [`crate::PpError::DeadlineExceeded`] (jobs
+    /// already in flight still reach the consumer, so partial results
+    /// survive). Meaningless without a deadline set.
     pub hard_deadline: bool,
 }
 
@@ -65,7 +89,6 @@ impl std::fmt::Debug for StreamOptions {
         f.debug_struct("StreamOptions")
             .field("cancel", &self.cancel)
             .field("progress", &self.progress.as_ref().map(|_| "<hook>"))
-            .field("capacity", &self.capacity)
             .field("tail_threads", &self.tail_threads)
             .field("class", &self.class)
             .field("deadline", &self.deadline)
@@ -85,25 +108,6 @@ impl StreamOptions {
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// Options with a per-worker buffer bound (in micro-batches).
-    ///
-    /// # Errors
-    ///
-    /// [`PpError::Config`] for `capacity == 0`: the delivery channels
-    /// cannot be rendezvous-only, and `0` must not silently mean
-    /// "unbounded" (that is what leaving the field `None` does).
-    pub fn with_capacity(mut self, capacity: usize) -> Result<Self, PpError> {
-        if capacity == 0 {
-            return Err(PpError::Config(
-                "capacity: 0 micro-batches would make delivery rendezvous-only; \
-                 use 1 for the tightest backpressure or leave the field None for unbounded"
-                    .into(),
-            ));
-        }
-        self.capacity = Some(capacity);
-        Ok(self)
     }
 
     /// Options with an explicit tail worker count (`0` = serial),
@@ -182,15 +186,6 @@ mod tests {
     use super::*;
     use pp_inpaint::MaskSet;
     use pp_pdk::SynthNode;
-
-    #[test]
-    fn zero_capacity_is_rejected_at_construction() {
-        let err = StreamOptions::default().with_capacity(0).unwrap_err();
-        assert!(matches!(err, PpError::Config(_)), "wrong error: {err}");
-        assert!(err.to_string().contains("capacity"), "message was: {err}");
-        let opts = StreamOptions::default().with_capacity(1).unwrap();
-        assert_eq!(opts.capacity, Some(1));
-    }
 
     #[test]
     fn qos_options_default_and_chain() {

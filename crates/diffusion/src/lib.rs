@@ -31,11 +31,13 @@
 //! model.train(&corpus, 2, 2, 1e-3, 0).unwrap(); // 2 steps, batch 2
 //! ```
 //!
-//! Sampling is available blocking ([`DiffusionModel::sample_inpaint_batch`])
-//! or streaming ([`DiffusionModel::sample_inpaint_stream`], micro-batches
-//! delivered in job order through bounded channels, cancellable via
-//! [`CancelToken`]); both share one worker implementation and are
-//! bit-identical per job.
+//! Every sample comes out of one DDIM loop, the slot table in
+//! [`slots`]. The blocking entry points
+//! ([`DiffusionModel::sample_inpaint`],
+//! [`DiffusionModel::sample_inpaint_batch`]) drive it over fixed
+//! micro-batches; schedulers drive it through
+//! [`InpaintWorker::run_slots`] with their own [`SlotFeed`]. Outputs are
+//! bit-identical per job either way.
 
 #![forbid(unsafe_code)]
 
@@ -45,7 +47,6 @@ pub mod error;
 pub mod model;
 pub mod schedule;
 pub mod slots;
-pub mod stream;
 pub mod unet;
 
 pub use checkpoint::{
@@ -57,5 +58,4 @@ pub use error::ModelError;
 pub use model::{DiffusionConfig, DiffusionModel, InpaintWorker, Parameterization, TrainReport};
 pub use schedule::{BetaSchedule, NoiseSchedule};
 pub use slots::{SlotFeed, SlotJob};
-pub use stream::{CancelToken, InpaintStream, MicroBatch};
 pub use unet::{UNet, UNetConfig};

@@ -1,17 +1,21 @@
-//! The slot-table forward path: continuous batching at DDIM-step
-//! granularity.
+//! The slot-table DDIM core — the one sampling loop in the crate —
+//! with continuous batching at DDIM-step granularity.
 //!
-//! [`InpaintWorker::run`] samples one fixed micro-batch per call — every
-//! job enters the packed `[B, 3, H, W]` tensor at step 0 and leaves at
-//! the final step together, so a scheduler can only add work at batch
-//! boundaries. [`InpaintWorker::run_slots`] removes that constraint: the
-//! worker keeps a *slot table* of in-flight jobs, each with its own
+//! A worker keeps a *slot table* of in-flight jobs, each with its own
 //! template, mask, RNG stream and **step cursor**, and between any two
 //! DDIM steps it asks a [`SlotFeed`] for new jobs to admit into free
 //! slots. Every forward pass packs the active slots into one tensor with
 //! a *per-slot* timestep vector, so slots at different cursor depths
 //! share the pass the way LLM serving engines continuously batch
 //! requests at token granularity.
+//!
+//! Every sampling path runs this loop. `pp-core`'s engine scheduler
+//! drives it from its worker threads through
+//! [`InpaintWorker::run_slots`]; the blocking entry points
+//! ([`DiffusionModel::sample_inpaint`],
+//! [`DiffusionModel::sample_inpaint_batch_sized`]) drive it with a
+//! chunk feed that admits one fixed micro-batch whenever the table is
+//! empty.
 //!
 //! **Why this is bit-identical to solo sampling.** Every per-pixel
 //! operation in the DDIM loop is sample-local; the U-Net computes its
@@ -22,22 +26,22 @@
 //! job's output therefore depends on `(template, mask, seed)` alone —
 //! never on which slots shared its passes or at what cursor depth they
 //! ran. `slot_table_matches_solo_under_staggered_admission` (below)
-//! asserts exactly that.
+//! asserts exactly that against an independent one-job reference loop.
 //!
 //! The loop never blocks between steps on its own: [`SlotFeed::refill`]
 //! may block waiting for work only while the table is empty. The feed is
 //! also the delivery side ([`SlotFeed::complete`]) and the cancellation
 //! side ([`SlotFeed::evict`]), so the whole scheduling policy lives with
-//! the caller — `pp-core`'s engine scheduler drives this from its worker
-//! threads, but the trait is deliberately freestanding (see the tests
-//! for a scripted feed).
+//! the caller (see the tests for a scripted feed).
 
 use crate::error::ModelError;
 use crate::model::{randn, DiffusionModel, InpaintWorker, Parameterization};
+use crate::unet::UNet;
 use pp_geometry::GrayImage;
 use pp_nn::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One job handed to a worker's slot table by a [`SlotFeed`].
@@ -135,11 +139,70 @@ impl InpaintWorker {
     }
 }
 
+/// The blocking entry points' feed: walks a contiguous job range,
+/// admitting the next `width` jobs only when the table is empty — one
+/// fixed micro-batch at a time, run to completion — and collects the
+/// samples in job order.
+struct ChunkFeed {
+    jobs: Arc<Vec<(GrayImage, GrayImage)>>,
+    seed: u64,
+    /// Jobs not admitted yet.
+    pending: Range<usize>,
+    width: usize,
+    samples: Vec<GrayImage>,
+}
+
+impl SlotFeed for ChunkFeed {
+    fn refill(&mut self, active: usize) -> Vec<SlotJob> {
+        if active > 0 {
+            return Vec::new();
+        }
+        let start = self.pending.start;
+        self.pending.start = (start + self.width).min(self.pending.end);
+        (start..self.pending.start)
+            .map(|index| SlotJob {
+                tag: index as u64,
+                jobs: Arc::clone(&self.jobs),
+                index,
+                seed: self.seed ^ index as u64,
+            })
+            .collect()
+    }
+
+    fn complete(&mut self, _tag: u64, sample: GrayImage) {
+        // A batch admitted together finishes on one pass, in slot
+        // order, which is job order.
+        self.samples.push(sample);
+    }
+}
+
 impl DiffusionModel {
-    /// The slot-table DDIM core behind [`InpaintWorker::run_slots`].
+    /// Samples `jobs[range]` on the calling thread, `width` jobs per
+    /// micro-batch, job `i` from the RNG stream `seed ^ i`. Shapes are
+    /// validated by the public entry points.
+    pub(crate) fn sample_range(
+        &self,
+        unet: &mut UNet,
+        jobs: &Arc<Vec<(GrayImage, GrayImage)>>,
+        range: Range<usize>,
+        width: usize,
+        seed: u64,
+    ) -> Result<Vec<GrayImage>, ModelError> {
+        let mut feed = ChunkFeed {
+            jobs: Arc::clone(jobs),
+            seed,
+            samples: Vec::with_capacity(range.len()),
+            pending: range,
+            width: width.max(1),
+        };
+        self.slot_loop(unet, &mut feed)?;
+        Ok(feed.samples)
+    }
+
+    /// The slot-table DDIM core: every sampling path runs this loop.
     pub(crate) fn slot_loop(
         &self,
-        unet: &mut crate::unet::UNet,
+        unet: &mut UNet,
         feed: &mut dyn SlotFeed,
     ) -> Result<(), ModelError> {
         let cfg = self.config();
@@ -147,9 +210,9 @@ impl DiffusionModel {
         let hw = side * side;
         let ts = self.schedule().ddim_timesteps(cfg.ddim_steps);
         let mut slots: Vec<Slot> = Vec::new();
-        // The packed input is rebuilt only when table membership
-        // changes (conditioning planes are per-slot static); plane 0
-        // (x_t) is refreshed every step, as in the fixed-batch path.
+        // One packed input for the whole run. Its conditioning planes
+        // (mask, masked image) are rewritten only when table membership
+        // changes; plane 0 (x_t) every step.
         let mut input = Tensor::zeros([1, 3, side, side]);
         let mut members_dirty = true;
         let mut tvec: Vec<usize> = Vec::new();
@@ -195,7 +258,10 @@ impl DiffusionModel {
                 let b = slots.len();
                 feed.on_step(b);
                 if members_dirty {
-                    input = Tensor::zeros([b, 3, side, side]);
+                    // Resized in place, not reallocated: every row's
+                    // planes 1-2 are rewritten here and plane 0 below,
+                    // so stale contents never reach the network.
+                    input.resize_batch(b);
                     for (bi, slot) in slots.iter().enumerate() {
                         let (image, mask) = &slot.jobs[slot.index];
                         let m = mask.as_pixels();
@@ -217,9 +283,7 @@ impl DiffusionModel {
                 let pred = unet.forward_infer(&input, &tvec);
                 for (bi, slot) in slots.iter_mut().enumerate() {
                     // Per-slot step constants: each slot recovers x̂0 and
-                    // advances with *its own* `t → s` pair, exactly the
-                    // arithmetic `sample_chunk` applies batch-wide when
-                    // every job shares one cursor.
+                    // advances with *its own* `t → s` pair.
                     let t = ts[slot.cursor];
                     let ab = self.schedule().alpha_bar(t);
                     let (sa, sn) = (ab.sqrt().max(1e-4), (1.0 - ab).sqrt());
@@ -349,36 +413,97 @@ mod tests {
         }
     }
 
+    /// The independent oracle: one job's reverse process written out
+    /// directly — a one-row `forward_infer` per step, the Eq. 8
+    /// composite, `ddim_step_in_place` — with the `t → s` pair taken
+    /// from the loop index rather than a slot cursor. It shares no
+    /// code with `slot_loop` beyond the network and the schedule.
+    fn reference_sample(
+        model: &DiffusionModel,
+        image: &GrayImage,
+        mask: &GrayImage,
+        seed: u64,
+    ) -> GrayImage {
+        let cfg = model.config();
+        let side = cfg.image as usize;
+        let (known, m) = (image.as_pixels(), mask.as_pixels());
+        let mut unet = model.unet.clone();
+        let mut input = Tensor::zeros([1, 3, side, side]);
+        input.plane_mut(0, 1).copy_from_slice(m);
+        for (dst, (&v, &mm)) in input.plane_mut(0, 2).iter_mut().zip(known.iter().zip(m)) {
+            *dst = if mm > 0.5 { 0.0 } else { v };
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x: Vec<f32> = (0..side * side).map(|_| randn(&mut rng)).collect();
+        let mut x0_hat = vec![0.0f32; side * side];
+        let ts = model.schedule().ddim_timesteps(cfg.ddim_steps);
+        for (i, &t) in ts.iter().enumerate() {
+            input.plane_mut(0, 0).copy_from_slice(&x);
+            let pred = unet.forward_infer(&input, &[t]);
+            let ab = model.schedule().alpha_bar(t);
+            let (sa, sn) = (ab.sqrt().max(1e-4), (1.0 - ab).sqrt());
+            for (j, xh) in x0_hat.iter_mut().enumerate() {
+                let p = pred.plane(0, 0)[j];
+                let x0_model = match cfg.parameterization {
+                    Parameterization::X0 => p,
+                    Parameterization::Epsilon => (x[j] - sn * p) / sa,
+                };
+                *xh = if m[j] > 0.5 {
+                    x0_model.clamp(-1.0, 1.0)
+                } else {
+                    known[j]
+                };
+            }
+            let s = ts.get(i + 1).copied().unwrap_or(usize::MAX);
+            model.schedule().ddim_step_in_place(&mut x, &x0_hat, t, s);
+        }
+        let mut out = GrayImage::from_pixels(cfg.image, cfg.image, x);
+        out.clamp(-1.0, 1.0);
+        out
+    }
+
     /// The load-bearing property: jobs admitted at different steps (so
-    /// the packed passes mix cursor depths 0, 2, 5, ...) come out
-    /// bit-identical to solo sampling with the same seed.
+    /// the packed passes mix cursor depths) come out bit-identical to
+    /// the one-job reference loop — and to `sample_inpaint` — with the
+    /// same seed, under both parameterizations.
     #[test]
     fn slot_table_matches_solo_under_staggered_admission() {
-        let model = Arc::new(DiffusionModel::new(DiffusionConfig::tiny(16), 21));
-        let jobs = mixed_jobs(6);
-        let seed = 0x5eed;
-        let mut feed = ScriptFeed::new(Arc::clone(&jobs), seed);
-        // Steps between admissions skew the cursors: jobs 0-1 start at
-        // pass 1, job 2 two steps later, jobs 3-5 two steps after that
-        // (tiny config has 3 DDIM steps, so groups overlap mid-flight).
-        feed.script = VecDeque::from(vec![vec![0, 1], vec![], vec![2], vec![], vec![3, 4, 5]]);
-        model.worker().run_slots(&mut feed).unwrap();
-        assert_eq!(feed.done.len(), 6);
-        for (i, (image, mask)) in jobs.iter().enumerate() {
-            let solo = model.sample_inpaint(image, mask, seed ^ i as u64).unwrap();
-            assert_eq!(
-                feed.done[&(i as u64)],
-                solo,
-                "slot {i} diverged from the solo path"
+        for parameterization in [Parameterization::X0, Parameterization::Epsilon] {
+            let mut cfg = DiffusionConfig::tiny(16);
+            cfg.parameterization = parameterization;
+            let model = Arc::new(DiffusionModel::new(cfg, 21));
+            let jobs = mixed_jobs(6);
+            let seed = 0x5eed;
+            let mut feed = ScriptFeed::new(Arc::clone(&jobs), seed);
+            // Steps between admissions skew the cursors: jobs 0-1 start
+            // at pass 1, job 2 two steps later, jobs 3-5 two steps after
+            // that (tiny config has 3 DDIM steps, so groups overlap
+            // mid-flight).
+            feed.script = VecDeque::from(vec![vec![0, 1], vec![], vec![2], vec![], vec![3, 4, 5]]);
+            model.worker().run_slots(&mut feed).unwrap();
+            assert_eq!(feed.done.len(), 6);
+            for (i, (image, mask)) in jobs.iter().enumerate() {
+                let job_seed = seed ^ i as u64;
+                let reference = reference_sample(&model, image, mask, job_seed);
+                assert_eq!(
+                    feed.done[&(i as u64)],
+                    reference,
+                    "{parameterization:?}: slot {i} diverged from the reference loop"
+                );
+                assert_eq!(
+                    model.sample_inpaint(image, mask, job_seed).unwrap(),
+                    reference,
+                    "{parameterization:?}: job {i} solo path diverged"
+                );
+            }
+            // The table genuinely merged: some pass held slots from
+            // more than one admission group.
+            assert!(
+                feed.widths.iter().any(|&w| w >= 3),
+                "no pass merged staggered admissions: {:?}",
+                feed.widths
             );
         }
-        // The table genuinely merged: some pass held slots from more
-        // than one admission group.
-        assert!(
-            feed.widths.iter().any(|&w| w >= 3),
-            "no pass merged staggered admissions: {:?}",
-            feed.widths
-        );
     }
 
     /// One slot at a time (capacity-1 feed) is the degenerate case:

@@ -152,6 +152,19 @@ impl Tensor {
         self
     }
 
+    /// Changes the batch dimension in place, keeping the buffer: rows
+    /// that survive keep their contents, new rows read zero, and
+    /// shrinking never reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn resize_batch(&mut self, n: usize) {
+        assert!(n > 0, "tensor dims must be nonzero");
+        self.shape[0] = n;
+        self.data.resize(self.shape.iter().product(), 0.0);
+    }
+
     /// Elementwise `self += other`.
     ///
     /// # Panics
@@ -296,6 +309,21 @@ mod tests {
         let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let r = t.clone().reshape([1, 4, 1, 1]);
         assert_eq!(r.data(), t.data());
+    }
+
+    #[test]
+    fn resize_batch_keeps_surviving_rows_and_buffer() {
+        let mut t = Tensor::from_vec([2, 1, 1, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let ptr = t.data().as_ptr();
+        t.resize_batch(1);
+        assert_eq!((t.shape(), t.data()), ([1, 1, 1, 2], &[1.0, 2.0][..]));
+        t.resize_batch(2);
+        assert_eq!(t.data(), &[1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(
+            t.data().as_ptr(),
+            ptr,
+            "regrowing within capacity reallocated"
+        );
     }
 
     #[test]

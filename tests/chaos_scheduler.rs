@@ -335,18 +335,18 @@ fn supervisor_respawns_a_worker_loop_killed_by_a_policy_panic() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    /// Panics on the first pick only (the flag flips *before* the
+    /// Panics on the first ranking only (the flag flips *before* the
     /// panic, so the respawned loop proceeds normally).
     struct PanicOnce(Arc<AtomicBool>);
     impl SchedPolicy for PanicOnce {
         fn name(&self) -> &str {
             "panic-once"
         }
-        fn pick(&mut self, _queue: &[patternpaint::core::SchedView]) -> usize {
+        fn rank(&mut self, queue: &[patternpaint::core::SchedView]) -> Vec<usize> {
             if !self.0.swap(true, Ordering::SeqCst) {
                 panic!("policy panicked inside the dispatch lock");
             }
-            0
+            (0..queue.len()).collect()
         }
     }
 

@@ -334,14 +334,14 @@ fn scheduler_overflow_rejects_sessions_and_service_jobs() {
 /// results stay bit-identical (the policy can only reorder).
 #[test]
 fn custom_policies_plug_in_without_changing_results() {
-    /// Perverse on purpose: always picks the *newest* submission.
+    /// Perverse on purpose: always ranks the *newest* submission first.
     struct NewestFirst;
     impl SchedPolicy for NewestFirst {
         fn name(&self) -> &str {
             "newest-first"
         }
-        fn pick(&mut self, queue: &[patternpaint::core::SchedView]) -> usize {
-            queue.len() - 1
+        fn rank(&mut self, queue: &[patternpaint::core::SchedView]) -> Vec<usize> {
+            (0..queue.len()).rev().collect()
         }
     }
     let engine = tiny_engine(7);

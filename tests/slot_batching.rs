@@ -3,11 +3,10 @@
 //! * **Bit-identity** — merged slot tables change *which* forward pass
 //!   a job rides in, never its arithmetic: scheduled sessions equal
 //!   solo sessions (library contents, insertion order, counts) across
-//!   thread counts, slot capacities and both dispatch modes.
+//!   thread counts and slot capacities.
 //! * **Merging actually happens** — under multi-tenant load the slot
 //!   counters prove forward passes mixed submissions
-//!   (`batches_merged > 0`) that fixed dispatch would have run
-//!   separately.
+//!   (`batches_merged > 0`).
 //! * **No starvation** — an Interactive tenant submitted into a
 //!   saturating BestEffort flood still completes promptly under
 //!   `WeightedFair` (the flood is provably unfinished when it does).
@@ -16,9 +15,8 @@
 //!   `turnaround_micros` moves even when no submission completes.
 
 use patternpaint::core::{
-    CancelToken, DispatchMode, Engine, GenerationRequest, JobOutcome, JobSet, JobSpec,
-    PipelineConfig, QosClass, Scheduler, SchedulerOptions, Service, ServiceOptions, Session,
-    StreamOptions, WeightedFair,
+    CancelToken, Engine, GenerationRequest, JobOutcome, JobSet, JobSpec, PipelineConfig, QosClass,
+    Scheduler, SchedulerOptions, Service, ServiceOptions, Session, StreamOptions, WeightedFair,
 };
 use patternpaint::pdk::SynthNode;
 use pp_inpaint::MaskSet;
@@ -135,12 +133,8 @@ fn merged_batches_are_bit_identical_to_solo_across_threads_and_slot_caps() {
     for threads in [1usize, 2] {
         for slots in [0usize, 3, 8] {
             let engine = tiny_engine(10);
-            let scheduler = engine.scheduler_with(
-                threads,
-                SchedulerOptions::new()
-                    .dispatch(DispatchMode::Continuous)
-                    .slot_capacity(slots),
-            );
+            let scheduler =
+                engine.scheduler_with(threads, SchedulerOptions::new().slot_capacity(slots));
             assert_tenants_match_solo(&engine, &scheduler, &unequal_tenants());
             let stats = scheduler.stats();
             assert_eq!(
@@ -157,28 +151,9 @@ fn merged_batches_are_bit_identical_to_solo_across_threads_and_slot_caps() {
     }
 }
 
-/// The `FixedBatch` escape hatch is a faithful baseline: same results,
-/// and by construction it never mixes submissions in one pass.
-#[test]
-fn fixed_batch_mode_matches_solo_and_never_merges() {
-    let engine = tiny_engine(11);
-    let scheduler = engine.scheduler_with(
-        2,
-        SchedulerOptions::new().dispatch(DispatchMode::FixedBatch),
-    );
-    assert_tenants_match_solo(&engine, &scheduler, &unequal_tenants());
-    let stats = scheduler.stats();
-    assert_eq!(stats.completed.total(), 3);
-    assert_eq!(
-        stats.batches_merged, 0,
-        "fixed dispatch must never mix submissions in one forward pass"
-    );
-}
-
 /// Under concurrent multi-tenant load on one worker, continuous
 /// batching must actually merge: some forward passes carry slots from
-/// more than one submission — the passes fixed dispatch would have
-/// run separately (and narrower).
+/// more than one submission.
 #[test]
 fn continuous_batching_merges_concurrent_submissions() {
     let engine = tiny_engine(12);
@@ -204,12 +179,7 @@ fn continuous_batching_merges_concurrent_submissions() {
 #[test]
 fn best_effort_flood_does_not_starve_interactive() {
     let engine = tiny_engine(13);
-    let scheduler = engine.scheduler_with(
-        1,
-        SchedulerOptions::new()
-            .policy(WeightedFair)
-            .dispatch(DispatchMode::Continuous),
-    );
+    let scheduler = engine.scheduler_with(1, SchedulerOptions::new().policy(WeightedFair));
     let flood_jobs = 48usize;
     let mut flood: Vec<Session> = (0..3)
         .map(|i| {
@@ -269,10 +239,8 @@ fn cold_refill_dealigner_staggers_slot_occupancy() {
     let engine = tiny_engine(15);
     let scheduler = engine.scheduler_with(
         1,
-        SchedulerOptions::new()
-            .dispatch(DispatchMode::Continuous)
-            // Capacity == batch width: the worst lockstep case.
-            .slot_capacity(4),
+        // Capacity == batch width: the worst lockstep case.
+        SchedulerOptions::new().slot_capacity(4),
     );
     let mut session = engine.session_seeded(95).attach(&scheduler);
     let counts = session

@@ -121,8 +121,6 @@ fn cancellation_mid_round_matches_serial_replay_of_delivered_samples() {
         let hook_cancel = cancel.clone();
         let opts = StreamOptions::default()
             .with_cancel(cancel)
-            .with_capacity(1)
-            .expect("positive capacity is valid")
             .with_tail_threads(threads)
             .with_progress(move |_| hook_cancel.cancel());
         let round = recording.run_request(&request, &opts).expect("round runs");
