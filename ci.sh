@@ -30,6 +30,12 @@ cargo build --release --examples
 echo "==> cargo test -q"
 RUST_BACKTRACE=1 cargo test -q
 
+# The SIMD kernels, the B-panel gather, their length asserts and the
+# bit-identity suites again in the codegen the benchmarks measure, with
+# debug_assert!s compiled out.
+echo "==> cargo test --release -q -p pp-nn -p pp-diffusion"
+RUST_BACKTRACE=1 cargo test --release -q -p pp-nn -p pp-diffusion
+
 echo "==> cargo run -p pp-analyze (static analysis)"
 cargo run -q -p pp-analyze
 

@@ -34,6 +34,10 @@
 //!      with Interactive tenants arriving mid-flight) on one worker.
 //!      Reports aggregate samples/s plus per-class p50/p99
 //!      submit→first-dispatch waits and slot occupancy.
+//! 3. **layers** — every convolution of the standard U-Net timed alone
+//!    through `Conv2d::forward_infer` at batch width 16 (ms per call,
+//!    GF/s), next to a whole `UNet::forward_infer` at the same width,
+//!    so the conv share of a forward is measured rather than assumed.
 //!
 //! All modes run the same worker-thread count, so the reported speedup
 //! is purely kernels + batching. Results go to `BENCH_sampling.json` at
@@ -51,16 +55,21 @@ use patternpaint_core::{
     PipelineConfig, QosClass, RawSample, RetryPolicy, Sampler, ScheduledSampler, SchedulerOptions,
     SchedulerStats, Service, ServiceOptions, StreamOptions, TrainSpec, WeightedFair,
 };
-use pp_diffusion::DiffusionModel;
+use pp_diffusion::{DiffusionModel, UNet, UNetConfig};
 use pp_geometry::GrayImage;
 use pp_inpaint::MaskSet;
-use pp_nn::gemm;
+use pp_nn::{gemm, Conv2d, Layer, Tensor, Workspace};
 use pp_pdk::SynthNode;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde_json::json;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 const JOBS: usize = 64;
+/// Batch width of the per-layer table: a full micro-batch.
+const LAYER_WIDTH: usize = 16;
 
 struct ModeResult {
     name: &'static str,
@@ -232,6 +241,118 @@ fn train_coexist(smoke: bool, jobs: usize) {
         eprintln!("train_coexist: FAILED — a co-resident train job may not cost interactive tenants more than {BUDGET:.1}x first-dispatch wait");
         std::process::exit(1);
     }
+}
+
+/// One convolution of the U-Net: `(name, in_c, out_c, kernel, side)`,
+/// in forward order, for base width `c` and image side `s` — the
+/// shapes `UNet::new` builds.
+fn unet_convs(c: usize, s: usize) -> [(&'static str, usize, usize, usize, usize); 18] {
+    [
+        ("conv_in", 3, c, 3, s),
+        ("rb1.conv1", c, c, 3, s),
+        ("rb1.conv2", c, c, 3, s),
+        ("rb2.skip", c, 2 * c, 1, s / 2),
+        ("rb2.conv1", c, 2 * c, 3, s / 2),
+        ("rb2.conv2", 2 * c, 2 * c, 3, s / 2),
+        ("rb3.skip", 2 * c, 4 * c, 1, s / 4),
+        ("rb3.conv1", 2 * c, 4 * c, 3, s / 4),
+        ("rb3.conv2", 4 * c, 4 * c, 3, s / 4),
+        ("mid.conv1", 4 * c, 4 * c, 3, s / 4),
+        ("mid.conv2", 4 * c, 4 * c, 3, s / 4),
+        ("rb4.skip", 6 * c, 2 * c, 1, s / 2),
+        ("rb4.conv1", 6 * c, 2 * c, 3, s / 2),
+        ("rb4.conv2", 2 * c, 2 * c, 3, s / 2),
+        ("rb5.skip", 3 * c, c, 1, s),
+        ("rb5.conv1", 3 * c, c, 3, s),
+        ("rb5.conv2", c, c, 3, s),
+        ("conv_out", c, 1, 3, s),
+    ]
+}
+
+/// A `[n, c, s, s]` tensor of uniform values in `[-1, 1)`.
+fn random_input(n: usize, c: usize, s: usize, seed: u64) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = (0..n * c * s * s)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    Tensor::from_vec([n, c, s, s], data)
+}
+
+/// Median seconds per call of `f` over `reps` timed calls, after two
+/// untimed warm-up calls.
+fn median_call_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    f();
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// The `layers` block: every U-Net convolution timed alone through
+/// `Conv2d::forward_infer` at batch width [`LAYER_WIDTH`], and a whole
+/// `UNet::forward_infer` at that width for the conv share.
+fn layer_table(model: UNetConfig, smoke: bool) -> serde_json::Value {
+    let reps = if smoke { 3 } else { 21 };
+    let (c, s) = (model.base_ch, model.image as usize);
+    let mut rows = Vec::new();
+    let mut conv_ms = 0.0;
+    println!();
+    println!(
+        "{:<10} {:>14} {:>10} {:>10} {:>8}",
+        "layer", "m x k x n", "MFLOP", "ms/call", "GF/s"
+    );
+    for (i, (name, in_c, out_c, k, side)) in unet_convs(c, s).into_iter().enumerate() {
+        let mut conv = Conv2d::new(in_c, out_c, k, i as u64);
+        let x = random_input(LAYER_WIDTH, in_c, side, i as u64);
+        let mut ws = Workspace::new();
+        let secs = median_call_secs(reps, || {
+            let y = conv.forward_infer(black_box(&x), &mut ws);
+            ws.give(black_box(y).into_vec());
+        });
+        let (gm, gk, gn) = (out_c, in_c * k * k, side * side);
+        let flops = 2.0 * (gm * gk * gn * LAYER_WIDTH) as f64;
+        let (ms, gflops) = (secs * 1e3, flops / secs / 1e9);
+        conv_ms += ms;
+        println!(
+            "{name:<10} {:>14} {:>10.2} {ms:>10.3} {gflops:>8.1}",
+            format!("{gm}x{gk}x{gn}"),
+            flops / 1e6,
+        );
+        rows.push(json!({
+            "name": name,
+            "m": gm,
+            "k": gk,
+            "n": gn,
+            "flops_per_call": flops,
+            "ms_per_call": ms,
+            "gflops": gflops,
+        }));
+    }
+    let mut unet = UNet::new(model, 100, 11);
+    let x = random_input(LAYER_WIDTH, 3, s, 99);
+    let ts = vec![50usize; LAYER_WIDTH];
+    let forward_ms = median_call_secs(reps, || {
+        let y = unet.forward_infer(black_box(&x), &ts);
+        unet.recycle(black_box(y));
+    }) * 1e3;
+    println!(
+        "convs {conv_ms:.2} ms of a {forward_ms:.2} ms forward at width {LAYER_WIDTH} \
+         ({:.0}%)",
+        100.0 * conv_ms / forward_ms
+    );
+    json!({
+        "width": LAYER_WIDTH,
+        "convs": rows,
+        "conv_ms": conv_ms,
+        "forward_ms": forward_ms,
+        "conv_share": conv_ms / forward_ms,
+    })
 }
 
 fn main() {
@@ -851,6 +972,13 @@ fn main() {
     }
     println!("replicas N=2 vs N=1: {fleet_n2_ratio:.2}x aggregate samples/s");
 
+    let unet_cfg = UNetConfig {
+        image: cfg.model.image,
+        base_ch: cfg.model.base_ch,
+        time_dim: cfg.model.time_dim,
+    };
+    let layers = layer_table(unet_cfg, smoke);
+
     let mode_rows: Vec<serde_json::Value> = modes
         .iter()
         .map(|m| {
@@ -934,6 +1062,7 @@ fn main() {
         "mixed_tenants": json!({
             "continuous": mixed_row(&mixed_cont),
         }),
+        "layers": layers,
         "fleet_replicas": json!({
             "jobs": fleet_jobs,
             "stall_ms": fleet_stall.as_secs_f64() * 1e3,

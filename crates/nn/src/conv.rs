@@ -1,6 +1,26 @@
-//! 2-D convolution (stride 1, "same" padding) via im2col + GEMM.
+//! 2-D convolution (stride 1, "same" padding) as an implicit GEMM.
+//!
+//! Forward multiplies the `[out_c, in_c·k²]` weight matrix with each
+//! sample's im2col matrix without ever materialising it:
+//!
+//! 1. the weights are packed once per call into register-tile row
+//!    panels per 256-deep k slice;
+//! 2. each sample's input planes are copied inside a zero border
+//!    `k/2` wide (1×1 convolutions use the planes as they are), so
+//!    every im2col row over a run of output pixels in one image row
+//!    is one contiguous segment of that copy;
+//! 3. for every `nr`-pixel column panel and k slice, those segments
+//!    are gathered into an L1-sized `[kc][nr]` B panel (zero-padded
+//!    past the last pixel), and every row block's micro-kernel
+//!    ([`crate::gemm`]) writes its tile of the output tensor, the
+//!    first slice storing and later ones adding;
+//! 4. the bias is added to the panel's pixels last.
+//!
+//! Backward keeps the explicit im2col matrix and the transposed GEMMs.
 
-use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
+use crate::gemm::{
+    self, pack_a, sgemm_naive, sgemm_nt, sgemm_tn, ALayout, Kernel, Run, KC, NR_MAX,
+};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -9,13 +29,16 @@ use crate::Layer;
 /// A stride-1 convolution with odd kernel size and same padding.
 ///
 /// Weight layout is `[out_c][in_c][ky][kx]`; bias is per output channel.
-/// Forward lowers each sample to an im2col matrix and multiplies it with
-/// the weight matrix through the register-blocked [`crate::gemm`]
-/// kernels; backward rebuilds the col matrix (recompute-over-store) and
-/// produces both parameter and input gradients through the transposed
-/// GEMM variants. The im2col scratch persists across calls (training) or
-/// comes from a caller [`Workspace`] (inference), so steady-state passes
-/// perform no scratch allocation.
+/// Forward is an implicit GEMM (module docs): each output element is
+/// one in-order multiply-add chain per k slice, the slices summed in
+/// order, then the bias added — an order set by `in_c·k²` alone, never
+/// by the batch width, the image size or the tile, so a batch row is
+/// bit-identical to the same sample run alone. Backward rebuilds the
+/// im2col matrix (recompute-over-store) and produces both parameter
+/// and input gradients through the transposed GEMM variants. Packed
+/// weights, staged planes, B panels and im2col scratch persist across
+/// calls (training) or come from a caller [`Workspace`] (inference), so
+/// steady-state passes perform no scratch allocation.
 ///
 /// # Example
 ///
@@ -62,7 +85,8 @@ impl Conv2d {
         self.out_c
     }
 
-    /// Builds the im2col matrix `[in_c·k·k, h·w]` for one sample.
+    /// Builds the im2col matrix `[in_c·k·k, h·w]` for one sample
+    /// (backward, and the tests' reference forward).
     ///
     /// Each (channel, tap, row) strip is one contiguous copy of
     /// `w − |shift|` pixels plus zeroed edges, instead of a per-pixel
@@ -166,50 +190,181 @@ impl Conv2d {
         }
     }
 
-    /// Whether the sample's input planes can feed the GEMM directly: a
-    /// 1×1 same-padding conv's im2col matrix *is* the input.
-    fn direct_input(&self) -> bool {
-        self.k == 1 && !crate::gemm::force_naive()
+    /// The forward body shared by `forward` and `forward_infer`, with
+    /// scratch and the output buffer drawn from `ws`.
+    fn run_forward(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        if gemm::force_naive() {
+            return self.forward_reference(x, ws);
+        }
+        self.forward_implicit(Kernel::detect(), x, ws)
     }
 
-    /// The shared forward body: `out[b] = W · col(x[b]) + bias` per
-    /// sample, with scratch and the output buffer drawn from `ws`.
-    fn run_forward(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// `out[b] = W · col(x[b]) + bias` as one implicit GEMM on `kern`.
+    fn forward_implicit(&self, kern: Kernel, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        assert_eq!(x.c(), self.in_c, "input channel mismatch");
+        let (n, h, w) = (x.n(), x.h(), x.w());
+        let (hw, pad) = (h * w, self.k / 2);
+        let ick = self.in_c * self.k * self.k;
+        let (mr, nr) = (kern.mr(), kern.nr());
+        let blocks = self.out_c.div_ceil(mr);
+        // Weights, once per call: k slice p0 holds `blocks` [kc][mr]
+        // row panels starting at p0·blocks·mr.
+        let mut wpack = ws.take(blocks * mr * ick);
+        for p0 in (0..ick).step_by(KC) {
+            let kc = KC.min(ick - p0);
+            let slice = &mut wpack[p0 * blocks * mr..(p0 + kc) * blocks * mr];
+            for (blk, ap) in slice.chunks_exact_mut(kc * mr).enumerate() {
+                let weights = &self.weight.value;
+                pack_a(
+                    ALayout::Normal,
+                    weights,
+                    self.out_c,
+                    ick,
+                    blk * mr,
+                    p0,
+                    kc,
+                    mr,
+                    ap,
+                );
+            }
+        }
+        // B panels gather from a copy of each sample's planes inside a
+        // zero border `pad` wide, so every panel row is plain row
+        // segments; the border is zeroed once per call.
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let mut staged = ws.take(if pad > 0 { self.in_c * hp * wp } else { 0 });
+        staged.fill(0.0);
+        // The B panel, 64-byte aligned inside its buffer so every row
+        // load covers whole cache lines.
+        let mut panel_buf = ws.take(KC * nr + 15);
+        let skew = panel_buf.as_ptr().align_offset(64).min(15);
+        let panel = &mut panel_buf[skew..skew + KC * nr];
+        let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * self.out_c * hw));
+        let outs = out.data_mut().chunks_exact_mut(self.out_c * hw);
+        for (xb, ob) in x.data().chunks_exact(self.in_c * hw).zip(outs) {
+            let xs = if pad > 0 {
+                let interior = [Run {
+                    src: 0,
+                    col: pad,
+                    len: w,
+                }];
+                for (dst, src) in staged.chunks_exact_mut(hp * wp).zip(xb.chunks_exact(hw)) {
+                    let rows = &mut dst[pad * wp..(pad + h) * wp];
+                    kern.gather(rows, wp, src, (0..hw).step_by(w), &interior);
+                }
+                &staged[..]
+            } else {
+                xb
+            };
+            for j0 in (0..hw).step_by(nr) {
+                let cols = nr.min(hw - j0);
+                let (runs, nruns) = row_runs(w, wp, j0, cols);
+                for p0 in (0..ick).step_by(KC) {
+                    let kc = KC.min(ick - p0);
+                    let b = &mut panel[..kc * nr];
+                    kern.gather(b, nr, xs, self.row_starts(hp, wp, p0), &runs[..nruns]);
+                    if cols < nr {
+                        b.chunks_exact_mut(nr).for_each(|row| row[cols..].fill(0.0));
+                    }
+                    let slice = &wpack[p0 * blocks * mr..(p0 + kc) * blocks * mr];
+                    for (blk, ap) in slice.chunks_exact(kc * mr).enumerate() {
+                        let i0 = blk * mr;
+                        let rows = mr.min(self.out_c - i0);
+                        let c = &mut ob[i0 * hw + j0..];
+                        kern.tile(kc, ap, b, nr, c, hw, rows, cols, p0 == 0);
+                    }
+                }
+                self.add_bias(ob, hw, j0, cols);
+            }
+        }
+        ws.give(wpack);
+        ws.give(staged);
+        ws.give(panel_buf);
+        out
+    }
+
+    /// Where im2col rows `p0, p0 + 1, …` start in the staged planes
+    /// (`[in_c][hp][wp]`): row `(ic, ky, kx)` reads output pixel
+    /// `(oy, ox)` from staged `(ic, oy + ky, ox + kx)`.
+    fn row_starts(&self, hp: usize, wp: usize, p0: usize) -> impl Iterator<Item = usize> + Clone {
+        let k = self.k;
+        let (ic, ky, kx) = (p0 / (k * k), p0 / k % k, p0 % k);
+        let mut start = (ic * hp + ky) * wp + kx;
+        let (mut ky, mut kx) = (ky, kx);
+        std::iter::from_fn(move || {
+            let row = start;
+            kx += 1;
+            start += 1;
+            if kx == k {
+                kx = 0;
+                ky += 1;
+                start += wp - k;
+                if ky == k {
+                    ky = 0;
+                    start += (hp - k) * wp;
+                }
+            }
+            Some(row)
+        })
+    }
+
+    /// The force-naive forward: per sample, the reference im2col and
+    /// [`sgemm_naive`], then the bias — the pre-optimisation path the
+    /// benchmarks measure against.
+    fn forward_reference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         assert_eq!(x.c(), self.in_c, "input channel mismatch");
         let (n, h, w) = (x.n(), x.h(), x.w());
         let hw = h * w;
         let ick = self.in_c * self.k * self.k;
-        // Take the col scratch first: in the training path (layer-owned
-        // pool) it is the buffer `give`n back last call, so it gets
-        // reused while the returned output draws a fresh allocation.
-        let mut col = if self.direct_input() {
-            Vec::new()
-        } else {
-            ws.take(ick * hw)
-        };
+        let mut col = ws.take(ick * hw);
         let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * self.out_c * hw));
-        for b in 0..n {
-            // out rows for sample b are contiguous: one GEMM per sample.
-            let c = &mut out.data_mut()[b * self.out_c * hw..(b + 1) * self.out_c * hw];
-            if self.direct_input() {
-                let xb = &x.data()[b * ick * hw..(b + 1) * ick * hw];
-                sgemm(self.out_c, ick, hw, &self.weight.value, xb, c, 0.0);
-            } else {
-                self.im2col(x, b, &mut col);
-                sgemm(self.out_c, ick, hw, &self.weight.value, &col, c, 0.0);
-            }
-            for oc in 0..self.out_c {
-                let bias = self.bias.value[oc];
-                if bias != 0.0 {
-                    for v in &mut c[oc * hw..(oc + 1) * hw] {
-                        *v += bias;
-                    }
-                }
-            }
+        for (b, ob) in out.data_mut().chunks_exact_mut(self.out_c * hw).enumerate() {
+            self.im2col_reference(x, b, &mut col);
+            sgemm_naive(self.out_c, ick, hw, &self.weight.value, &col, ob, 0.0);
+            self.add_bias(ob, hw, 0, hw);
         }
         ws.give(col);
         out
     }
+
+    /// Adds each channel's bias to pixels `j0..j0 + cols` of one
+    /// sample's output planes (`ob`, `[out_c][hw]`).
+    fn add_bias(&self, ob: &mut [f32], hw: usize, j0: usize, cols: usize) {
+        for (plane, &bias) in ob.chunks_exact_mut(hw).zip(&self.bias.value) {
+            if bias != 0.0 {
+                for v in &mut plane[j0..j0 + cols] {
+                    *v += bias;
+                }
+            }
+        }
+    }
+}
+
+/// The gather runs covering the row-major output pixels `j0..j0 + cols`
+/// of a `w`-wide image whose rows sit `wp` apart in the staged planes,
+/// and how many there are (at most `cols`): one per image row, merged
+/// where the source continues (`wp == w`).
+fn row_runs(w: usize, wp: usize, j0: usize, cols: usize) -> ([Run; NR_MAX], usize) {
+    let mut runs = [Run::default(); NR_MAX];
+    let (mut j, mut count) = (j0, 0);
+    while j < j0 + cols {
+        let (oy, ox) = (j / w, j % w);
+        let len = (w - ox).min(j0 + cols - j);
+        let src = oy * wp + ox;
+        match runs[..count].last_mut() {
+            Some(prev) if prev.src + prev.len == src => prev.len += len,
+            _ => {
+                runs[count] = Run {
+                    src,
+                    col: j - j0,
+                    len,
+                };
+                count += 1;
+            }
+        }
+        j += len;
+    }
+    (runs, count)
 }
 
 impl Layer for Conv2d {
@@ -235,7 +390,8 @@ impl Layer for Conv2d {
         let ick = self.in_c * self.k * self.k;
         let mut ws = std::mem::take(&mut self.scratch);
         let mut gx = Tensor::zeros(x.shape());
-        let direct = self.direct_input();
+        // A 1×1 same-padding conv's im2col matrix *is* the input.
+        let direct = self.k == 1 && !gemm::force_naive();
         let mut col = if direct {
             Vec::new()
         } else {
@@ -369,6 +525,94 @@ mod tests {
             let ys = conv.forward(xs);
             for c in 0..4 {
                 assert_eq!(ys.plane(0, c), yb.plane(b, c), "sample {b} channel {c}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The per-sample forward the implicit GEMM replaced, kept as the
+    /// sweep's reference: the explicit im2col matrix times the weights
+    /// through [`crate::gemm::sgemm`], then the bias.
+    fn reference_forward(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
+        let hw = x.h() * x.w();
+        let ick = conv.in_c * conv.k * conv.k;
+        let mut col = vec![0.0; ick * hw];
+        let mut out = vec![0.0; x.n() * conv.out_c * hw];
+        for (b, c) in out.chunks_exact_mut(conv.out_c * hw).enumerate() {
+            conv.im2col(x, b, &mut col);
+            crate::gemm::sgemm(conv.out_c, ick, hw, &conv.weight.value, &col, c, 0.0);
+            for (plane, &bias) in c.chunks_exact_mut(hw).zip(&conv.bias.value) {
+                if bias != 0.0 {
+                    for v in plane {
+                        *v += bias;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The implicit-GEMM forward against the per-sample reference, on
+    /// every micro-kernel this CPU supports (portable always): bitwise
+    /// wherever `h·w` is a multiple of 16 and the kernel accumulates
+    /// like `sgemm`'s full-width tiles (fused on SIMD hosts), within
+    /// 1e-5 elsewhere — and every batch row bitwise equal to its solo
+    /// run. `in_c·k²` is ~27–75 or crosses the 256-deep k slice (~300,
+    /// ~600); sides cover image rows narrower and wider than a tile
+    /// plus a non-square image whose rows straddle column panels.
+    #[test]
+    fn implicit_forward_sweep() {
+        let sides = [
+            (2usize, 2usize),
+            (4, 4),
+            (8, 8),
+            (16, 16),
+            (32, 32),
+            (12, 20),
+        ];
+        let ms = [1usize, 5, 8, 16, 17, 64];
+        let sgemm_fused = Kernel::detect().fused();
+        for (ki, k) in [1usize, 3, 5].into_iter().enumerate() {
+            let cins = [3, 300usize.div_ceil(k * k), 600usize.div_ceil(k * k)];
+            for (si, &(h, w)) in sides.iter().enumerate() {
+                for (mi, &m) in ms.iter().enumerate() {
+                    let cin = cins[(si + mi) % 3];
+                    let n = if (si + mi + ki) % 2 == 0 { 3 } else { 1 };
+                    let seed = (ki * 100 + si * 10 + mi) as u64;
+                    let mut conv = Conv2d::new(cin, m, k, seed);
+                    conv.bias.value = random_tensor([1, m, 1, 1], seed + 1).into_vec();
+                    let x = random_tensor([n, cin, h, w], seed + 2);
+                    let reference = reference_forward(&conv, &x);
+                    let case = format!("k={k} {h}x{w} m={m} in_c={cin} n={n}");
+                    for kern in Kernel::supported() {
+                        let mut ws = Workspace::new();
+                        let y = conv.forward_implicit(kern, &x, &mut ws);
+                        if (h * w) % 16 == 0 && kern.fused() == sgemm_fused {
+                            assert_eq!(bits(y.data()), bits(&reference), "{kern:?} {case}");
+                        } else {
+                            for (i, (&p, &q)) in y.data().iter().zip(&reference).enumerate() {
+                                assert!(
+                                    (p - q).abs() <= 1e-5 * (1.0 + p.abs().max(q.abs())),
+                                    "{kern:?} {case} at {i}: {p} vs {q}"
+                                );
+                            }
+                        }
+                        for b in 0..n {
+                            let mut xs = Tensor::zeros([1, cin, h, w]);
+                            for c in 0..cin {
+                                xs.plane_mut(0, c).copy_from_slice(x.plane(b, c));
+                            }
+                            let ys = conv.forward_implicit(kern, &xs, &mut ws);
+                            for c in 0..m {
+                                let (solo, row) = (bits(ys.plane(0, c)), bits(y.plane(b, c)));
+                                assert_eq!(solo, row, "{kern:?} {case} row {b}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

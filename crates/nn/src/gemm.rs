@@ -1,24 +1,35 @@
 //! Register-blocked, cache-tiled single-precision matrix multiply.
 //!
-//! This is the workhorse under [`crate::Conv2d`] and [`crate::Linear`]:
-//! convolution lowers to `weights · im2col` and dense layers to
-//! `x · Wᵀ`, so one good GEMM accelerates the whole sampling and
-//! training hot path. Three memory layouts cover every call site without
+//! Two drivers share one set of register-tile micro-kernels:
+//!
+//! * the public GEMMs below, used by [`crate::Linear`], the backward
+//!   passes of [`crate::Conv2d`] and the PCA in `pp-selection`;
+//! * the implicit-GEMM convolution in [`crate::conv`], which gathers
+//!   its B panels from a zero-bordered copy of the input planes and
+//!   calls the kernels through the crate-private `Kernel`.
+//!
+//! Three memory layouts cover every public call site without
 //! materialising transposes:
 //!
 //! * [`sgemm`]   — `C = A·B + β·C`   with `A: m×k`, `B: k×n`;
 //! * [`sgemm_tn`] — `C = Aᵀ·B + β·C` with `A` stored `k×m`;
 //! * [`sgemm_nt`] — `C = A·Bᵀ + β·C` with `B` stored `n×k`.
 //!
-//! All matrices are dense row-major `f32` slices. The kernels tile the
-//! k-dimension into L1/L2-sized panels (`KC`) and accumulate
-//! `MR`×`NR` micro-tiles — in AVX2+FMA registers when the CPU has
-//! them (runtime-detected), else in portable local arrays the compiler
-//! vectorises. The reduction order over `k` for an output element is a
-//! pure function of the call shape `(m, k, n)` and the element's
-//! position, so equal-shaped calls on equal data are bit-identical —
-//! the property batched sampling relies on, since batching runs the
-//! same per-sample GEMM shapes as the solo path.
+//! All matrices are dense row-major `f32` slices. The k-dimension is
+//! cut into 256-deep slices and each output element accumulates one
+//! slice at a time in a register tile: an in-order chain of fused
+//! multiply-adds (AVX-512F or AVX2+FMA, detected at runtime) or of
+//! unfused multiply-then-add (the portable kernel), started from zero,
+//! then added to `C`. Slices are summed in order. An element's
+//! arithmetic therefore depends on `k`, its own row and column of the
+//! operands and on whether a fused kernel computed it — never on `m`,
+//! `n`, the tile it sits in or its neighbours. That is the property
+//! batched sampling relies on.
+//!
+//! The public GEMMs keep a 6-row tile on every instruction set and
+//! compute ragged column edges (the last `n mod 16` columns) with the
+//! portable kernel. Every slice length the kernels index by raw
+//! pointer is checked with `assert!`, in release builds too.
 //!
 //! A scalar reference implementation ([`sgemm_naive`] and friends) backs
 //! the unit tests and the `force_naive` switch used by `pp-bench` to
@@ -45,13 +56,18 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Rows per register micro-tile (6×16 f32 = 12 ymm accumulators).
+/// Rows per register tile of the public GEMMs (6×16 f32 = 12 ymm
+/// accumulators on AVX2), on every instruction set.
 const MR: usize = 6;
-/// Columns per register micro-tile (two 8-lane vectors on AVX2).
+/// Columns per AVX2 and portable register tile (two 8-lane vectors).
 const NR: usize = 16;
-/// k-panel depth: an `NR`-wide B panel of this depth is ~16 KiB and an
-/// `MR`-tall A panel ~6 KiB, so both micro-panels live in L1.
-const KC: usize = 256;
+/// Columns per AVX-512F register tile (two 16-lane vectors).
+const NR_512: usize = 32;
+/// The widest register tile any [`Kernel`] uses.
+pub(crate) const NR_MAX: usize = NR_512;
+/// k-slice depth: a 32-wide B panel of this depth is 32 KiB and an
+/// 8-row A panel 8 KiB, so both stay in L1/L2 while a tile runs.
+pub(crate) const KC: usize = 256;
 
 static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
 
@@ -78,13 +94,14 @@ fn cpu_has_avx512f() -> bool {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-#[allow(dead_code)]
 fn cpu_has_avx512f() -> bool {
     false
 }
 
-/// Routes the hot kernels (`sgemm*` and `Conv2d`'s im2col) through
-/// their scalar reference implementations.
+/// Routes the hot kernels through their scalar reference
+/// implementations: the `sgemm*` entry points, and `Conv2d`'s forward
+/// (per-sample reference im2col + [`sgemm_naive`] instead of the
+/// implicit-GEMM driver) and backward (reference im2col).
 ///
 /// Benchmarks use this to measure the pre-optimisation per-sample
 /// baseline on the exact same code path; it is not meant for production
@@ -112,7 +129,7 @@ fn scale_c(c: &mut [f32], beta: f32) {
 /// Element accessors for the three operand layouts, so one blocked
 /// driver serves NN/TN and one dot-product driver serves NT.
 #[derive(Clone, Copy)]
-enum ALayout {
+pub(crate) enum ALayout {
     /// `A` stored `m×k` row-major: `a[i·k + p]`.
     Normal,
     /// `A` stored `k×m` row-major (op = `Aᵀ`): `a[p·m + i]`.
@@ -129,24 +146,110 @@ impl ALayout {
     }
 }
 
-/// Portable `MR×nr` micro-kernel: accumulates a register tile over one
-/// packed A panel (`ap`, `[kc][MR]`) and adds it into `C`.
+/// Packs rows `i0..i0 + tile` (clipped to `m`) and columns
+/// `p0..p0 + kc` of `op(A)` into the `[kc][tile]` panel a micro-kernel
+/// reads, zeroing the rows past `m`.
+pub(crate) fn pack_a(
+    lay: ALayout,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    i0: usize,
+    p0: usize,
+    kc: usize,
+    tile: usize,
+    dst: &mut [f32],
+) {
+    let mr = tile.min(m - i0);
+    for (p, row) in dst[..kc * tile].chunks_exact_mut(tile).enumerate() {
+        for r in 0..mr {
+            row[r] = lay.at(a, i0 + r, p0 + p, m, k);
+        }
+        row[mr..].fill(0.0);
+    }
+}
+
+/// `rows` rows of `width` elements placed `stride` apart span
+/// `(rows − 1)·stride + width` elements; `None` for zero rows or on
+/// overflow.
+fn span(rows: usize, stride: usize, width: usize) -> Option<usize> {
+    rows.checked_sub(1)?.checked_mul(stride)?.checked_add(width)
+}
+
+/// Asserts every bound a SIMD micro-kernel indexes by raw pointer: an
+/// `[kc][tile_mr]` A panel, `kc` B rows read `width` wide `ldb` apart,
+/// and `mr ≤ tile_mr` C rows written `nr ≤ width` wide `ldc` apart.
+#[inline(always)]
+fn check_tile(
+    kc: usize,
+    tile_mr: usize,
+    width: usize,
+    ap: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &[f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    assert!(
+        (1..=tile_mr).contains(&mr) && (1..=width).contains(&nr),
+        "tile shape out of range"
+    );
+    assert!(
+        kc.checked_mul(tile_mr).is_some_and(|len| len <= ap.len()),
+        "A panel shorter than kc·MR"
+    );
+    assert!(
+        span(kc, ldb, width).is_some_and(|len| len <= b.len()),
+        "B operand shorter than its kc rows"
+    );
+    assert!(
+        span(mr, ldc, nr).is_some_and(|len| len <= c.len()),
+        "C tile out of bounds"
+    );
+}
+
+/// Adds register-tile rows into `C`: `c[r·ldc + j] = base + tile[r][j]`
+/// for `r < mr`, `j < nr`, where `base` is `0.0` on a call's first k
+/// slice and the current `c` value after it.
 #[inline]
-fn kernel_tile(
+fn add_tile<const W: usize>(
+    tile: &[[f32; W]],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    first: bool,
+) {
+    for r in 0..mr {
+        let crow = &mut c[r * ldc..r * ldc + nr];
+        for (cv, &x) in crow.iter_mut().zip(&tile[r][..nr]) {
+            let base = if first { 0.0 } else { *cv };
+            *cv = base + x;
+        }
+    }
+}
+
+/// Portable `MR×nr` micro-kernel (`nr ≤ 16`): accumulates one packed A
+/// panel (`ap`, `[kc][MR]`) against `kc` B rows `ldb` apart with
+/// unfused multiply-then-add, then adds the tile into `C` rows `ldc`
+/// apart (see [`add_tile`] for `first`).
+#[inline]
+fn kernel_portable<const MR: usize>(
     kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
-    j0: usize,
-    nr: usize,
+    ldb: usize,
     c: &mut [f32],
-    i0: usize,
+    ldc: usize,
     mr: usize,
+    nr: usize,
+    first: bool,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
-        let brow = &b[(row0 + p) * n + j0..(row0 + p) * n + j0 + nr];
+        let brow = &b[p * ldb..p * ldb + nr];
         let apk = &ap[p * MR..p * MR + MR];
         for r in 0..MR {
             let av = apk[r];
@@ -155,48 +258,43 @@ fn kernel_tile(
             }
         }
     }
-    for r in 0..mr {
-        let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
-        for (cv, &x) in crow.iter_mut().zip(&acc[r][..nr]) {
-            *cv += x;
-        }
-    }
+    add_tile(&acc, c, ldc, mr, nr, first);
 }
 
-/// AVX2+FMA `6×16` micro-kernel: 12 ymm accumulators, one broadcast and
-/// two loads per k-iteration.
+/// AVX2+FMA `MR×16` micro-kernel: `2·MR` ymm accumulators, one
+/// broadcast and two loads per k step. Reads B rows at full width 16;
+/// writes `nr ≤ 16` columns of `mr` C rows (see [`add_tile`] for
+/// `first`).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available and that the index ranges
-/// (`row0+kc` rows of B at width ≥ `j0+16`, rows `i0..i0+mr` of C) are
-/// in bounds; debug asserts guard the latter.
+/// The CPU must support AVX2 and FMA. Every slice bound is checked by
+/// [`check_tile`] (`assert!`), so any slices are sound to pass.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kernel_tile_avx(
+unsafe fn kernel_avx2<const MR: usize>(
     kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
-    j0: usize,
+    ldb: usize,
     c: &mut [f32],
-    i0: usize,
+    ldc: usize,
     mr: usize,
+    nr: usize,
+    first: bool,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!((row0 + kc - 1) * n + j0 + NR <= b.len());
-    debug_assert!((i0 + mr - 1) * n + j0 + NR <= c.len());
-    // SAFETY: the caller upholds this fn's `# Safety` contract (AVX2+FMA
-    // present, B/C index ranges in bounds, re-checked by the
-    // debug_asserts above), so every load/store stays in bounds.
-    unsafe {
+    check_tile(kc, MR, NR, ap, b, ldb, c, ldc, mr, nr);
+    // SAFETY: AVX2+FMA are present (this fn's contract). check_tile
+    // asserted ap.len() ≥ kc·MR and b.len() ≥ (kc − 1)·ldb + 16, so
+    // every broadcast `ap[p·MR + r]` (p < kc, r < MR) and every 16-wide
+    // B row load at `p·ldb` stays in bounds.
+    let acc = unsafe {
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
         for p in 0..kc {
-            let brow = bp.add((row0 + p) * n + j0);
+            let brow = bp.add(p * ldb);
             let b0 = _mm256_loadu_ps(brow);
             let b1 = _mm256_loadu_ps(brow.add(8));
             let apk = app.add(p * MR);
@@ -206,51 +304,72 @@ unsafe fn kernel_tile_avx(
                 acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
             }
         }
-        let cp = c.as_mut_ptr();
-        for r in 0..mr {
-            let crow = cp.add((i0 + r) * n + j0);
-            _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
-            _mm256_storeu_ps(
-                crow.add(8),
-                _mm256_add_ps(_mm256_loadu_ps(crow.add(8)), acc[r][1]),
-            );
+        acc
+    };
+    if nr == NR {
+        // SAFETY: check_tile asserted c.len() ≥ (mr − 1)·ldc + nr with
+        // nr = 16 here and mr ≤ MR, so each row's two 8-lane loads and
+        // stores at `r·ldc` (r < mr) stay in bounds.
+        unsafe {
+            let cp = c.as_mut_ptr();
+            for r in 0..mr {
+                let crow = cp.add(r * ldc);
+                let (c0, c1) = if first {
+                    (_mm256_setzero_ps(), _mm256_setzero_ps())
+                } else {
+                    (_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(8)))
+                };
+                _mm256_storeu_ps(crow, _mm256_add_ps(c0, acc[r][0]));
+                _mm256_storeu_ps(crow.add(8), _mm256_add_ps(c1, acc[r][1]));
+            }
         }
+    } else {
+        let mut tile = [[0.0f32; NR]; MR];
+        for (row, v) in tile.iter_mut().zip(&acc) {
+            // SAFETY: `row` is 16 f32s: two 8-lane stores fill it.
+            unsafe {
+                _mm256_storeu_ps(row.as_mut_ptr(), v[0]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(8), v[1]);
+            }
+        }
+        add_tile(&tile, c, ldc, mr, nr, first);
     }
 }
 
-/// AVX-512F `6×32` micro-kernel: 12 zmm accumulators, one broadcast and
-/// two loads per k-iteration.
+/// AVX-512F `MR×32` micro-kernel: `2·MR` zmm accumulators, one
+/// broadcast and two loads per k step. Reads B rows at full width 32;
+/// writes `nr ≤ 32` columns of `mr` C rows (see [`add_tile`] for
+/// `first`).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available and that `j0 + 32 ≤ n` with
-/// rows `row0..row0+kc` of B and `i0..i0+mr` of C in bounds.
+/// The CPU must support AVX-512F. Every slice bound is checked by
+/// [`check_tile`] (`assert!`), so any slices are sound to pass.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn kernel_tile_avx512(
+unsafe fn kernel_avx512<const MR: usize>(
     kc: usize,
     ap: &[f32],
     b: &[f32],
-    row0: usize,
-    n: usize,
-    j0: usize,
+    ldb: usize,
     c: &mut [f32],
-    i0: usize,
+    ldc: usize,
     mr: usize,
+    nr: usize,
+    first: bool,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR);
-    debug_assert!((row0 + kc - 1) * n + j0 + 32 <= b.len());
-    debug_assert!((i0 + mr - 1) * n + j0 + 32 <= c.len());
-    // SAFETY: the caller upholds this fn's `# Safety` contract (AVX-512F
-    // present, B/C index ranges in bounds, re-checked by the
-    // debug_asserts above), so every load/store stays in bounds.
-    unsafe {
+    check_tile(kc, MR, NR_512, ap, b, ldb, c, ldc, mr, nr);
+    // SAFETY: AVX-512F is present (this fn's contract). check_tile
+    // asserted ap.len() ≥ kc·MR and b.len() ≥ (kc − 1)·ldb + 32, so
+    // every broadcast `ap[p·MR + r]` (p < kc, r < MR) and every 32-wide
+    // B row load at `p·ldb` stays in bounds.
+    let acc = unsafe {
         let mut acc = [[_mm512_setzero_ps(); 2]; MR];
         let bp = b.as_ptr();
         let app = ap.as_ptr();
         for p in 0..kc {
-            let brow = bp.add((row0 + p) * n + j0);
+            let brow = bp.add(p * ldb);
             let b0 = _mm512_loadu_ps(brow);
             let b1 = _mm512_loadu_ps(brow.add(16));
             let apk = app.add(p * MR);
@@ -260,20 +379,250 @@ unsafe fn kernel_tile_avx512(
                 acc[r][1] = _mm512_fmadd_ps(a, b1, acc[r][1]);
             }
         }
-        let cp = c.as_mut_ptr();
-        for r in 0..mr {
-            let crow = cp.add((i0 + r) * n + j0);
-            _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), acc[r][0]));
-            _mm512_storeu_ps(
-                crow.add(16),
-                _mm512_add_ps(_mm512_loadu_ps(crow.add(16)), acc[r][1]),
+        acc
+    };
+    if nr == NR_512 {
+        // SAFETY: check_tile asserted c.len() ≥ (mr − 1)·ldc + nr with
+        // nr = 32 here and mr ≤ MR, so each row's two 16-lane loads and
+        // stores at `r·ldc` (r < mr) stay in bounds.
+        unsafe {
+            let cp = c.as_mut_ptr();
+            for r in 0..mr {
+                let crow = cp.add(r * ldc);
+                let (c0, c1) = if first {
+                    (_mm512_setzero_ps(), _mm512_setzero_ps())
+                } else {
+                    (_mm512_loadu_ps(crow), _mm512_loadu_ps(crow.add(16)))
+                };
+                _mm512_storeu_ps(crow, _mm512_add_ps(c0, acc[r][0]));
+                _mm512_storeu_ps(crow.add(16), _mm512_add_ps(c1, acc[r][1]));
+            }
+        }
+    } else {
+        let mut tile = [[0.0f32; NR_512]; MR];
+        for (row, v) in tile.iter_mut().zip(&acc) {
+            // SAFETY: `row` is 32 f32s: two 16-lane stores fill it.
+            unsafe {
+                _mm512_storeu_ps(row.as_mut_ptr(), v[0]);
+                _mm512_storeu_ps(row.as_mut_ptr().add(16), v[1]);
+            }
+        }
+        add_tile(&tile, c, ldc, mr, nr, first);
+    }
+}
+
+/// Copies `src` into `dst` (equal lengths) with one masked load and
+/// store per 16 lanes; the masked moves also keep the loop from being
+/// turned into a `memcpy` call, which costs more than a short row.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. The lengths are checked with
+/// `assert_eq!`, so any slices are sound to pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn copy_avx512(dst: &mut [f32], src: &[f32]) {
+    use std::arch::x86_64::*;
+    assert_eq!(dst.len(), src.len(), "copy length mismatch");
+    let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+    let mut i = 0;
+    while i < src.len() {
+        let lanes = (src.len() - i).min(16);
+        let mask: __mmask16 = ((1u32 << lanes) - 1) as u16;
+        // SAFETY: i < len = src.len() = dst.len() (asserted above), so
+        // both pointers are in bounds, and the mask enables only lanes
+        // i..i + lanes ≤ len.
+        unsafe { _mm512_mask_storeu_ps(d.add(i), mask, _mm512_maskz_loadu_ps(mask, s.add(i))) };
+        i += 16;
+    }
+}
+
+/// One segment of every row of a gathered panel: `len` source elements
+/// from `src` past the row's start land at columns `col..col + len`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Run {
+    pub(crate) src: usize,
+    pub(crate) col: usize,
+    pub(crate) len: usize,
+}
+
+/// The gather loop behind [`Kernel::gather`], generic over the copy so
+/// the AVX-512 instance inlines its masked moves.
+#[inline(always)]
+fn gather_rows(
+    width: usize,
+    panel: &mut [f32],
+    xs: &[f32],
+    starts: impl Iterator<Item = usize> + Clone,
+    runs: &[Run],
+    copy: impl Fn(&mut [f32], &[f32]),
+) {
+    for run in runs {
+        for (row, start) in panel.chunks_exact_mut(width).zip(starts.clone()) {
+            let src = start + run.src;
+            copy(
+                &mut row[run.col..run.col + run.len],
+                &xs[src..src + run.len],
             );
         }
     }
 }
 
+/// [`gather_rows`] with [`copy_avx512`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gather_avx512(
+    panel: &mut [f32],
+    width: usize,
+    xs: &[f32],
+    starts: impl Iterator<Item = usize> + Clone,
+    runs: &[Run],
+) {
+    gather_rows(width, panel, xs, starts, runs, |dst, src| {
+        // SAFETY: AVX-512F is present (this fn's contract); copy_avx512
+        // asserts the equal lengths it relies on.
+        unsafe { copy_avx512(dst, src) }
+    });
+}
+
+/// Which instruction set a [`Kernel`] runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+/// A register-tile micro-kernel this CPU supports, as the
+/// implicit-GEMM convolution drives it: AVX-512F at 8×32, AVX2+FMA at
+/// 6×16, portable at 6×16.
+///
+/// The field is private: only [`Kernel::detect`] and the test-only
+/// `Kernel::supported` build one, after checking the CPU features its
+/// instructions need — the guarantee [`Kernel::tile`] and
+/// [`Kernel::gather`] rely on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Kernel(Isa);
+
+impl Kernel {
+    /// The widest kernel this CPU supports.
+    pub(crate) fn detect() -> Kernel {
+        if cpu_has_avx512f() {
+            Kernel(Isa::Avx512)
+        } else if cpu_has_avx2_fma() {
+            Kernel(Isa::Avx2)
+        } else {
+            Kernel(Isa::Portable)
+        }
+    }
+
+    /// Every kernel this CPU supports, portable first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Kernel> {
+        let mut all = vec![Kernel(Isa::Portable)];
+        if cpu_has_avx2_fma() {
+            all.push(Kernel(Isa::Avx2));
+        }
+        if cpu_has_avx512f() {
+            all.push(Kernel(Isa::Avx512));
+        }
+        all
+    }
+
+    /// Whether the kernel accumulates with fused multiply-adds (the
+    /// SIMD kernels) rather than multiply-then-add (portable).
+    #[cfg(test)]
+    pub(crate) fn fused(self) -> bool {
+        self.0 != Isa::Portable
+    }
+
+    /// Rows per register tile: the A panel height.
+    pub(crate) fn mr(self) -> usize {
+        match self.0 {
+            Isa::Avx512 => 8,
+            Isa::Avx2 | Isa::Portable => MR,
+        }
+    }
+
+    /// Columns per register tile: the B panel width.
+    pub(crate) fn nr(self) -> usize {
+        match self.0 {
+            Isa::Avx512 => NR_512,
+            Isa::Avx2 | Isa::Portable => NR,
+        }
+    }
+
+    /// One register tile: for `r < mr`, `j < nr`,
+    /// `c[r·ldc + j] = base + Σ_p ap[p·MR + r]·b[p·ldb + j]`, the sum an
+    /// in-order chain over `p < kc` and `base` as in [`add_tile`].
+    ///
+    /// `ap` is a `[kc][self.mr()]` panel from [`pack_a`]; B rows are
+    /// read at full width [`Kernel::nr`], so a partial panel must be
+    /// zero-padded. Bounds are asserted (release builds too).
+    pub(crate) fn tile(
+        self,
+        kc: usize,
+        ap: &[f32],
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+        first: bool,
+    ) {
+        match self.0 {
+            // SAFETY: a Kernel holding Isa::Avx512 exists only after
+            // cpu_has_avx512f() returned true (detect / supported); the
+            // kernel asserts every slice bound itself (check_tile).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { kernel_avx512::<8>(kc, ap, b, ldb, c, ldc, mr, nr, first) },
+            // SAFETY: a Kernel holding Isa::Avx2 exists only after
+            // cpu_has_avx2_fma() returned true (detect / supported); the
+            // kernel asserts every slice bound itself (check_tile).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { kernel_avx2::<MR>(kc, ap, b, ldb, c, ldc, mr, nr, first) },
+            _ => kernel_portable::<MR>(kc, ap, b, ldb, c, ldc, mr, nr, first),
+        }
+    }
+
+    /// Gathers rows from `xs`: row `r` of `panel` (rows `width` wide)
+    /// receives `xs[start + run.src..][..run.len]` at columns
+    /// `run.col..` for each run, `start` being the `r`-th item of
+    /// `starts`. Columns no run covers are left as they are. Masked
+    /// AVX-512 moves where the ISA has masked loads, slice copies
+    /// otherwise. B panels (`width` = [`Kernel::nr`]) and the conv's
+    /// zero-bordered input copies are both built this way.
+    pub(crate) fn gather(
+        self,
+        panel: &mut [f32],
+        width: usize,
+        xs: &[f32],
+        starts: impl Iterator<Item = usize> + Clone,
+        runs: &[Run],
+    ) {
+        match self.0 {
+            // SAFETY: a Kernel holding Isa::Avx512 exists only after
+            // cpu_has_avx512f() returned true (detect / supported); every
+            // copy slices its operands, so bounds are checked.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { gather_avx512(panel, width, xs, starts, runs) },
+            _ => gather_rows(width, panel, xs, starts, runs, |dst, src| {
+                dst.copy_from_slice(src)
+            }),
+        }
+    }
+}
+
 /// `C = op(A)·B + β·C` for row-major `B: k×n`, blocked over k and
-/// register-tiled `MR×NR`.
+/// register-tiled `MR×16` (AVX2, portable) or `MR×32` (AVX-512F), with
+/// the last `n mod 16` columns on the portable kernel.
 fn gemm_nx(
     m: usize,
     k: usize,
@@ -284,9 +633,9 @@ fn gemm_nx(
     c: &mut [f32],
     beta: f32,
 ) {
-    debug_assert_eq!(b.len(), k * n, "B must be k×n");
-    debug_assert_eq!(c.len(), m * n, "C must be m×n");
-    debug_assert_eq!(a.len(), m * k, "A must hold m·k elements");
+    assert_eq!(b.len(), k * n, "B must be k×n");
+    assert_eq!(c.len(), m * n, "C must be m×n");
+    assert_eq!(a.len(), m * k, "A must hold m·k elements");
     scale_c(c, beta);
     let avx = cpu_has_avx2_fma();
     #[cfg(target_arch = "x86_64")]
@@ -298,40 +647,36 @@ fn gemm_nx(
             let mr = MR.min(m - i0);
             // Pack the A micro-panel once per (i0, p0): contiguous
             // [kc][MR] layout so the inner loop reads one cache line.
-            for p in 0..kc {
-                for r in 0..mr {
-                    ap[p * MR + r] = lay.at(a, i0 + r, p0 + p, m, k);
-                }
-                for r in mr..MR {
-                    ap[p * MR + r] = 0.0;
-                }
-            }
+            pack_a(lay, a, m, k, i0, p0, kc, MR, &mut ap);
             let mut j0 = 0;
             // Full-width tiles with register accumulators, widest
             // instruction set first.
             #[cfg(target_arch = "x86_64")]
-            while avx512 && j0 + 32 <= n {
-                // SAFETY: feature-detected above; j0+32 ≤ n and
-                // i0+mr ≤ m keep every access in bounds.
-                unsafe { kernel_tile_avx512(kc, &ap, b, p0, n, j0, c, i0, mr) };
-                j0 += 32;
+            while avx512 && j0 + NR_512 <= n {
+                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
+                // SAFETY: AVX-512F detected above; the kernel asserts
+                // every slice bound itself (check_tile).
+                unsafe { kernel_avx512::<MR>(kc, &ap, bt, n, ct, n, mr, NR_512, false) };
+                j0 += NR_512;
             }
             while j0 + NR <= n {
+                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
                 #[cfg(target_arch = "x86_64")]
                 if avx {
-                    // SAFETY: feature-detected above; j0+NR ≤ n and
-                    // i0+mr ≤ m keep every access in bounds.
-                    unsafe { kernel_tile_avx(kc, &ap, b, p0, n, j0, c, i0, mr) };
+                    // SAFETY: AVX2+FMA detected above; the kernel asserts
+                    // every slice bound itself (check_tile).
+                    unsafe { kernel_avx2::<MR>(kc, &ap, bt, n, ct, n, mr, NR, false) };
                     j0 += NR;
                     continue;
                 }
                 let _ = avx;
-                kernel_tile(kc, &ap, b, p0, n, j0, NR, c, i0, mr);
+                kernel_portable::<MR>(kc, &ap, bt, n, ct, n, mr, NR, false);
                 j0 += NR;
             }
             // Ragged right edge: portable kernel at partial width.
             if j0 < n {
-                kernel_tile(kc, &ap, b, p0, n, j0, n - j0, c, i0, mr);
+                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
+                kernel_portable::<MR>(kc, &ap, bt, n, ct, n, mr, n - j0, false);
             }
         }
     }
@@ -341,7 +686,7 @@ fn gemm_nx(
 ///
 /// # Panics
 ///
-/// Panics (debug) on slice-length/shape mismatches.
+/// Panics when a slice length does not match its shape.
 pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     if force_naive() {
         return sgemm_naive(m, k, n, a, b, c, beta);
@@ -350,6 +695,10 @@ pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], 
 }
 
 /// `C = Aᵀ·B + β·C` with `A` stored `k×m` row-major.
+///
+/// # Panics
+///
+/// Panics when a slice length does not match its shape.
 pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     if force_naive() {
         return sgemm_tn_naive(m, k, n, a, b, c, beta);
@@ -361,13 +710,17 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
 ///
 /// Both operand rows are contiguous here, so this uses an unrolled
 /// dot-product kernel over k instead of the panel kernel.
+///
+/// # Panics
+///
+/// Panics when a slice length does not match its shape.
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     if force_naive() {
         return sgemm_nt_naive(m, k, n, a, b, c, beta);
     }
-    debug_assert_eq!(a.len(), m * k, "A must be m×k");
-    debug_assert_eq!(b.len(), n * k, "B must be n×k");
-    debug_assert_eq!(c.len(), m * n, "C must be m×n");
+    assert_eq!(a.len(), m * k, "A must be m×k");
+    assert_eq!(b.len(), n * k, "B must be n×k");
+    assert_eq!(c.len(), m * n, "C must be m×n");
     scale_c(c, beta);
     let avx = cpu_has_avx2_fma();
     for i in 0..m {
@@ -639,6 +992,43 @@ mod tests {
             let mut c3 = vec![1.0; m * n];
             sgemm(m, k, n, &a, &b, &mut c3, 0.0);
             assert_eq!(c1, c3, "beta=0 must fully overwrite");
+        }
+    }
+
+    /// A short operand must panic in release builds too: the SIMD
+    /// kernels index B by raw pointer, so a length check compiled out
+    /// with `debug_assert!` would let them read past the slice.
+    #[test]
+    #[should_panic(expected = "B must be k×n")]
+    fn short_b_panics() {
+        let (m, k, n) = (6usize, 4usize, 64usize);
+        let a = vec![1.0f32; m * k];
+        let b = vec![1.0f32; k * n - 40];
+        let mut c = vec![0.0f32; m * n];
+        sgemm(m, k, n, &a, &b, &mut c, 0.0);
+    }
+
+    /// Every micro-kernel asserts its own operand bounds, so a short B
+    /// or C panics instead of being read or written past its end.
+    #[test]
+    fn kernels_reject_short_operands() {
+        for kern in Kernel::supported() {
+            let (mr, nr, kc) = (kern.mr(), kern.nr(), 3);
+            let ap = vec![1.0f32; kc * mr];
+            let b = vec![1.0f32; kc * nr];
+            let mut c = vec![0.0f32; mr * nr];
+            kern.tile(kc, &ap, &b, nr, &mut c, nr, mr, nr, true);
+            assert!(c.iter().all(|&v| v == 3.0), "{kern:?}");
+            let short_b = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; mr * nr];
+                kern.tile(kc, &ap, &b[..kc * nr - 1], nr, &mut c, nr, mr, nr, true);
+            });
+            assert!(short_b.is_err(), "{kern:?} read past B");
+            let short_c = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; mr * nr - 1];
+                kern.tile(kc, &ap, &b, nr, &mut c, nr, mr, nr, true);
+            });
+            assert!(short_c.is_err(), "{kern:?} wrote past C");
         }
     }
 
