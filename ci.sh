@@ -3,8 +3,10 @@
 # Run from the repository root: ./ci.sh
 # Pass --bench-smoke to also exercise the benchmark binaries at reduced
 # job counts (no BENCH_*.json is written) so they cannot silently rot,
-# and to build and unit-test the repository benchmark (perfbench/, the
-# package BENCHMARK.json runs) against the current crates.
+# to build and unit-test the repository benchmark (perfbench/, the
+# package BENCHMARK.json runs) against the current crates, and to run
+# its serve_mixed and retrain_serve workloads for 3 s each (the first
+# run of a build also prepares the benchmark models, about 45 s).
 # Pass --chaos to additionally sweep the deterministic fault-injection
 # suite (tests/chaos_scheduler.rs) across fixed PP_CHAOS_SEED values.
 # Pass --analyze to run ONLY the pp-analyze static-analysis gate (fast
@@ -57,6 +59,15 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     echo "==> bench smoke: perfbench unit tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    # The serving workloads drive the Service job lifecycle end to end;
+    # their output gate (budgets met, background and train jobs
+    # finished, outputs equal to this build's record) fails the run
+    # with a non-zero exit.
+    for workload in serve_mixed retrain_serve; do
+        echo "==> bench smoke: perfbench $workload (3 s)"
+        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 3 --trace 0
+    done
 fi
 
 if [[ "${1:-}" == "--chaos" ]]; then

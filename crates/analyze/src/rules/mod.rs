@@ -41,11 +41,13 @@ impl Default for Config {
                 "crates/core/src/scheduler.rs".into(),
                 "crates/core/src/service.rs".into(),
                 "crates/core/src/fleet.rs".into(),
+                "crates/core/src/lifecycle.rs".into(),
             ],
             panic_files: vec![
                 "crates/core/src/scheduler.rs".into(),
                 "crates/core/src/service.rs".into(),
                 "crates/core/src/fleet.rs".into(),
+                "crates/core/src/lifecycle.rs".into(),
                 "crates/core/src/tail.rs".into(),
                 "crates/core/src/train.rs".into(),
             ],

@@ -635,10 +635,11 @@ impl Session {
     }
 
     /// Routes sampling through an existing scheduler handle (same
-    /// session id as every other user of that handle). The service's
-    /// retry loop uses this so all attempts of one job share one
-    /// scheduler session — stats attribution and [`crate::FaultPlan`]
-    /// keying stay stable across retries.
+    /// session id as every other user of that handle). The job
+    /// lifecycle attaches every attempt this way: a service passes all
+    /// attempts of one job the same handle, so stats attribution and
+    /// [`crate::FaultPlan`] keying stay stable across retries; a fleet
+    /// passes each attempt a fresh handle on its replica.
     pub(crate) fn attach_handle(mut self, handle: crate::scheduler::SchedulerHandle) -> Session {
         self.scheduler = Some(handle);
         self

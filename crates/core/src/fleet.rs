@@ -3,8 +3,11 @@
 //! A [`Fleet`] opens N [`Engine`] replicas from one checkpoint and puts
 //! them behind the same declarative front door as [`crate::Service`]:
 //! callers submit [`JobSpec`]s and hold [`crate::JobHandle`]s resolving
-//! to a terminal [`crate::JobOutcome`]. What changes is *where* a job
-//! runs — and the fleet promises it does not matter:
+//! to a terminal [`crate::JobOutcome`]. The two front doors are two
+//! dispatchers over one job lifecycle — the same admission counters,
+//! per-attempt sessions, outcome classification, retry backoff and
+//! settlement. What the fleet changes is *where* an attempt runs — and
+//! it promises that does not matter:
 //!
 //! - **Bit-identity.** Every replica is opened from the same artifact
 //!   snapshot and every attempt builds a fresh seeded session, so a job
@@ -35,32 +38,38 @@
 //!   supervised scheduler loses its whole worker pool is retired: its
 //!   queued jobs are redistributed to healthy peers, the in-flight job
 //!   is failed over *without* consuming a retry attempt, and its saved
-//!   sessions migrate lazily on next use. Hard deadlines and
+//!   sessions migrate lazily on next use. A panic in a stage that runs
+//!   on the runner thread (a custom sampler, validator or denoiser, the
+//!   round tail, selection) settles that job `Failed`, exactly as on a
+//!   service; the runner keeps serving and the replica stays in
+//!   rotation, since its scheduler is unharmed. Hard deadlines and
 //!   cancellation are honoured while a job is still queued (purged at
-//!   the router) and while it runs (enforced by the replica scheduler).
+//!   the router, including during retry backoff) and while it runs
+//!   (enforced by the replica scheduler).
 //!
-//! Lock order: the router mutex is the outermost lock; scheduler and
-//! store internals are only ever taken while the router lock is either
-//! held (stats snapshots are taken *before* locking the router) or the
-//! job is already owned by exactly one runner.
+//! Lock order: the router mutex is the outermost lock; the lifecycle's
+//! admission counters and job outcome cells are innermost (admitting,
+//! booking a retry and settling take them under the router lock);
+//! scheduler and store internals are never taken under the router lock
+//! (stats snapshots are taken *before* locking it) and are touched only
+//! by the one runner that owns the job.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::artifact::{copy_artifacts, validate_key, ArtifactStore, MemStore};
-use crate::config::PipelineConfig;
 use crate::engine::{session_keys, Engine, Session};
 use crate::error::PpError;
-use crate::jobspec::{JobKind, JobSpec, QosClass, RetryPolicy};
-use crate::library::PatternLibrary;
-use crate::pipeline::IterationStats;
+use crate::jobspec::{JobKind, JobSpec, QosClass};
+use crate::lifecycle::{
+    shaped_seed, Admission, AdmittedJob, JobHandle, JobOutcome, JobReport, Verdict,
+};
 use crate::scheduler::{ClassCounts, QueueLimits, Scheduler, SchedulerOptions, SchedulerStats};
-use crate::service::{run_job, run_rounds, truncated, JobHandle, JobOutcome, JobReport, JobState};
-use crate::stream::{CancelToken, Progress, StreamOptions};
+use crate::stream::CancelToken;
 
 /// How a [`Fleet`] is shaped.
 ///
@@ -181,23 +190,10 @@ impl Replica {
     }
 }
 
-/// One queued unit of work. `state.class` carries the QoS class.
+/// One queued unit of work: the admitted job plus its routing state.
 struct FleetJob {
-    state: Arc<JobState>,
-    kind: JobKind,
-    seed: u64,
-    config: Option<PipelineConfig>,
-    budget: Option<usize>,
-    retry: RetryPolicy,
-    hard: bool,
-    deadline_at: Option<Instant>,
-    proto: StreamOptions,
+    job: AdmittedJob,
     affinity: Option<String>,
-    /// 1-based attempt about to run. Failover after replica loss does
-    /// *not* increment this; transient retries do.
-    attempt: u32,
-    /// Earliest instant this job may start (retry backoff).
-    not_before: Option<Instant>,
     /// Replica that just failed this job transiently; requeueing
     /// prefers any other usable replica.
     excluded: Option<usize>,
@@ -207,20 +203,15 @@ struct FleetJob {
     migrate_from: Option<usize>,
 }
 
+/// Routing counters; the job counters live in [`Admission`].
 #[derive(Default)]
 struct FleetCounters {
     steals: u64,
     affinity_hits: u64,
     affinity_misses: u64,
     migrations: u64,
-    rejected_depth: u64,
-    rejected_backpressure: u64,
     failovers: u64,
     redistributed: u64,
-    retries: u64,
-    active: [u64; 3],
-    submitted: [u64; 3],
-    finished: [u64; 3],
 }
 
 struct RouterState {
@@ -239,9 +230,8 @@ struct FleetShared {
     router: Mutex<RouterState>,
     cv: Condvar,
     replicas: Vec<Replica>,
-    limits: QueueLimits,
+    admission: Arc<Admission>,
     backpressure: Option<Duration>,
-    next_job: AtomicU64,
 }
 
 /// N engine replicas behind a work-stealing, affinity-aware router.
@@ -309,25 +299,6 @@ pub struct FleetStats {
 /// waiter on a poisoned mutex would turn one bug into a fleet outage.
 fn lock_router(shared: &FleetShared) -> MutexGuard<'_, RouterState> {
     shared.router.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn empty_report(attempts: u32) -> JobReport {
-    JobReport {
-        generated: 0,
-        legal: 0,
-        attempts,
-        iterations: Vec::new(),
-        library: PatternLibrary::new(),
-        train: None,
-    }
-}
-
-fn counts(raw: &[u64; 3]) -> ClassCounts {
-    ClassCounts {
-        interactive: raw[0],
-        batch: raw[1],
-        best_effort: raw[2],
-    }
 }
 
 impl Fleet {
@@ -399,9 +370,8 @@ impl Fleet {
             }),
             cv: Condvar::new(),
             replicas,
-            limits: options.job_limits,
+            admission: Admission::new(options.job_limits, " fleet-wide"),
             backpressure: options.shed_backpressure_above,
-            next_job: AtomicU64::new(1),
         });
         let runners = (0..n)
             .map(|r| {
@@ -433,7 +403,7 @@ impl Fleet {
     /// or when every replica has been lost or drained;
     /// [`PpError::Config`] for an invalid affinity key or config
     /// shaping that fails validation.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, PpError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<JobHandle, PpError> {
         let class = spec.class;
         // Training mutates weights; replicas of a fleet share one
         // checkpoint and must stay bit-identical. Fine-tune through a
@@ -450,15 +420,7 @@ impl Fleet {
             validate_key(key)
                 .map_err(|e| PpError::Config(format!("job spec: affinity key: {e}")))?;
         }
-        let seed = spec.seed.unwrap_or(self.shared.replicas[0].engine.seed());
-        // Validate config shaping before admission, like the service:
-        // a bad spec must never occupy an in-flight slot.
-        if let Some(cfg) = spec.config {
-            self.shared.replicas[0]
-                .engine
-                .session_seeded(seed)
-                .with_config(cfg)?;
-        }
+        let seed = shaped_seed(&self.shared.replicas[0].engine, &spec)?;
         // Aggregate scheduler stats *before* taking the router lock —
         // snapshots take each scheduler's state lock, and the fleet's
         // lock order is router-outermost, never router-under-scheduler.
@@ -489,76 +451,36 @@ impl Fleet {
                 reason: "fleet has no usable replicas (all lost or drained)".into(),
             });
         }
-        let depth = router.counters.active[class.index()];
-        let limit = self.shared.limits.limit(class) as u64;
-        if depth >= limit {
-            router.counters.rejected_depth += 1;
-            return Err(PpError::Rejected {
-                reason: format!(
-                    "{class} job queue is full ({depth} in flight fleet-wide, limit {limit})"
-                ),
-            });
-        }
-        if let Some(reason) = shed_reason {
-            router.counters.rejected_backpressure += 1;
-            return Err(PpError::Rejected { reason });
-        }
-        router.counters.active[class.index()] += 1;
-        router.counters.submitted[class.index()] += 1;
-
-        let state = Arc::new(JobState::new(
-            self.shared.next_job.fetch_add(1, Ordering::Relaxed),
-            class,
-        ));
-        let hook_state = Arc::clone(&state);
-        let mut proto = StreamOptions::default()
-            .with_cancel(state.cancel.clone())
-            .with_class(class)
-            .with_progress(move |p: Progress| {
-                hook_state.completed.store(p.completed, Ordering::Relaxed);
-                hook_state.total.store(p.total, Ordering::Relaxed);
-            });
-        proto.deadline = spec.deadline;
-        // One fixed deadline instant shared by every attempt and every
-        // replica — failover does not reset the clock.
-        let deadline_at = spec.deadline.and_then(|d| Instant::now().checked_add(d));
-
-        let home = match &spec.affinity {
+        let affinity = spec.affinity.take();
+        let placement = spec.placement;
+        let job = self.shared.admission.admit(spec, seed, shed_reason)?;
+        let handle = job.handle();
+        let home = match &affinity {
             Some(key) => match router.homes.get(key) {
                 Some(&h) if self.shared.replicas[h].usable() => h,
                 Some(_) => {
                     // Stale home: keep the entry so the picking runner
                     // sees the old owner and records the migration; the
                     // queue choice is just a starting point.
-                    placed(&router, &usable, spec.placement)
+                    placed(&router, &usable, placement)
                 }
                 None => {
-                    let h = placed(&router, &usable, spec.placement);
+                    let h = placed(&router, &usable, placement);
                     router.homes.insert(key.clone(), h);
                     h
                 }
             },
-            None => placed(&router, &usable, spec.placement),
+            None => placed(&router, &usable, placement),
         };
         router.queues[home].push_back(FleetJob {
-            state: Arc::clone(&state),
-            kind: spec.kind,
-            seed,
-            config: spec.config,
-            budget: spec.budget,
-            retry: spec.retry,
-            hard: spec.hard_deadline,
-            deadline_at,
-            proto,
-            affinity: spec.affinity,
-            attempt: 1,
-            not_before: None,
+            job,
+            affinity,
             excluded: None,
             migrate_from: None,
         });
         drop(router);
         self.shared.cv.notify_all();
-        Ok(JobHandle::from_state(state))
+        Ok(handle)
     }
 
     /// A snapshot of router counters plus per-replica and merged
@@ -572,6 +494,7 @@ impl Fleet {
             .map(|rep| rep.scheduler.stats())
             .collect();
         let aggregated = SchedulerStats::merge(&per);
+        let (jobs, shed) = self.shared.admission.stats();
         let router = lock_router(&self.shared);
         let c = &router.counters;
         FleetStats {
@@ -590,14 +513,14 @@ impl Fleet {
             affinity_hits: c.affinity_hits,
             affinity_misses: c.affinity_misses,
             migrations: c.migrations,
-            rejected_depth: c.rejected_depth,
-            rejected_backpressure: c.rejected_backpressure,
+            rejected_depth: jobs.rejected.total(),
+            rejected_backpressure: shed,
             failovers: c.failovers,
             redistributed: c.redistributed,
-            retries: c.retries,
-            active: counts(&c.active),
-            submitted: counts(&c.submitted),
-            finished: counts(&c.finished),
+            retries: jobs.retries,
+            active: jobs.active,
+            submitted: jobs.submitted,
+            finished: jobs.finished,
         }
     }
 
@@ -628,12 +551,9 @@ impl Drop for Fleet {
             router.shutdown = true;
             let queued: Vec<FleetJob> =
                 router.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            for job in queued {
-                finish(
-                    &mut router,
-                    &job.state,
-                    JobOutcome::Cancelled(empty_report(job.attempt)),
-                );
+            for FleetJob { job, .. } in queued {
+                let outcome = JobOutcome::Cancelled(job.empty_report());
+                job.settle(outcome);
             }
             for slot in &mut router.running {
                 if let Some(cancel) = slot.take() {
@@ -673,38 +593,6 @@ fn placed(router: &RouterState, usable: &[usize], hint: Option<u64>) -> usize {
         .unwrap_or(0)
 }
 
-/// Settles a terminal job and releases its fleet-wide admission slot.
-/// Every caller owns the job exclusively (it was just removed from a
-/// queue or finished running), so the slot is released exactly once.
-fn finish(router: &mut RouterState, state: &JobState, outcome: JobOutcome) {
-    router.counters.active[state.class.index()] -= 1;
-    router.counters.finished[state.class.index()] += 1;
-    state.settle(outcome);
-}
-
-/// What one attempt on one replica concluded. The outcome is boxed:
-/// a `JobReport` (library included) dwarfs the dataless variants.
-enum Attempt {
-    /// Terminal: settle the job.
-    Done(Box<JobOutcome>),
-    /// Transient failure with attempts left: requeue with backoff,
-    /// preferring a different replica.
-    Retry,
-    /// The replica's worker pool is gone: fail over without consuming
-    /// an attempt and retire the replica.
-    Lost,
-}
-
-/// Side observations of an attempt, folded into router counters by the
-/// runner (the attempt itself runs without the router lock).
-#[derive(Default)]
-struct AttemptSide {
-    /// The affinity session resumed from previously saved state.
-    resumed: bool,
-    /// Serialized session state was copied from another replica first.
-    migrated: bool,
-}
-
 fn runner(shared: &Arc<FleetShared>, r: usize) {
     loop {
         let mut router = lock_router(shared);
@@ -738,48 +626,43 @@ fn runner(shared: &Arc<FleetShared>, r: usize) {
         // Re-home an affinity job whose pinned replica is gone, while
         // the router lock still serialises same-key decisions.
         if let Some(key) = &job.affinity {
-            match router.homes.get(key).copied() {
-                Some(h) if h != r => {
-                    job.migrate_from = Some(h);
-                    router.homes.insert(key.clone(), r);
-                }
-                None => {
-                    router.homes.insert(key.clone(), r);
-                }
-                _ => {}
-            }
+            let previous = router.homes.insert(key.clone(), r);
+            job.migrate_from = previous.filter(|&h| h != r);
         }
-        router.running[r] = Some(job.state.cancel.clone());
+        router.running[r] = Some(job.job.cancel_token());
         drop(router);
 
-        let (verdict, side) = run_attempt(shared, r, &job);
+        // The attempt runs without the router lock: the job is owned by
+        // this runner, and the only cross-replica state it touches is
+        // the (internally synchronised) store named by `migrate_from`,
+        // whose owner is already retired.
+        let rep = &shared.replicas[r];
+        let FleetJob {
+            job: admitted,
+            affinity,
+            migrate_from,
+            ..
+        } = &mut job;
+        let verdict = admitted.attempt(
+            || rep.scheduler.is_healthy(),
+            |admitted| match affinity {
+                Some(key) => run_affinity_attempt(shared, r, admitted, key, *migrate_from),
+                None => admitted.run_fresh(&rep.engine, rep.scheduler.handle()),
+            },
+        );
 
         let mut router = lock_router(shared);
         router.running[r] = None;
-        if job.affinity.is_some() {
-            if side.migrated {
-                router.counters.migrations += 1;
-                router.counters.affinity_misses += 1;
-            } else if side.resumed {
-                router.counters.affinity_hits += 1;
-            }
-        }
         match verdict {
-            Attempt::Done(outcome) => finish(&mut router, &job.state, *outcome),
-            Attempt::Retry => {
-                router.counters.retries += 1;
-                job.attempt += 1;
-                job.not_before = Some(Instant::now() + job.retry.delay_before(job.attempt));
+            Verdict::Done(outcome) => job.job.settle(*outcome),
+            Verdict::Retry => {
+                job.job.book_retry();
                 job.excluded = Some(r);
                 job.migrate_from = None;
                 requeue(shared, &mut router, job);
             }
-            Attempt::Lost => {
-                retire_replica(shared, &mut router, r, Some(job));
-                drop(router);
-                shared.cv.notify_all();
-                return;
-            }
+            // The retired runner exits at the top of its loop.
+            Verdict::Lost(_) => retire_replica(shared, &mut router, r, Some(job)),
         }
         drop(router);
         shared.cv.notify_all();
@@ -787,30 +670,18 @@ fn runner(shared: &Arc<FleetShared>, r: usize) {
 }
 
 /// Settles queued jobs that are already cancelled or past a hard
-/// deadline, without wasting a replica slot on them.
+/// deadline (the lifecycle's interruption rule), without wasting a
+/// replica slot on them.
 fn purge_expired(router: &mut RouterState, r: usize) {
     let mut i = 0;
     while i < router.queues[r].len() {
-        let (cancelled, expired) = {
-            let job = &router.queues[r][i];
-            (
-                job.state.cancel.is_cancelled(),
-                job.hard && job.deadline_at.is_some_and(|at| Instant::now() > at),
-            )
-        };
-        if !cancelled && !expired {
-            i += 1;
-            continue;
-        }
-        if let Some(job) = router.queues[r].remove(i) {
-            let outcome = if cancelled {
-                JobOutcome::Cancelled(empty_report(job.attempt))
-            } else {
-                JobOutcome::TimedOut {
-                    partial: empty_report(job.attempt),
+        match router.queues[r][i].job.interruption() {
+            Some(outcome) => {
+                if let Some(FleetJob { job, .. }) = router.queues[r].remove(i) {
+                    job.settle(outcome);
                 }
-            };
-            finish(router, &job.state, outcome);
+            }
+            None => i += 1,
         }
     }
 }
@@ -822,7 +693,7 @@ fn purge_expired(router: &mut RouterState, r: usize) {
 /// failing runner tends to win the re-pick race and "failover" never
 /// actually changes replicas).
 fn eligible(shared: &FleetShared, router: &RouterState, r: usize, job: &FleetJob) -> bool {
-    if job.not_before.is_some_and(|t| Instant::now() < t) {
+    if job.job.backing_off() {
         return false;
     }
     if let Some(key) = &job.affinity {
@@ -866,26 +737,16 @@ fn steal(shared: &FleetShared, router: &mut RouterState, r: usize) -> Option<Fle
 /// other than `job.excluded`; falls back to the excluded replica when
 /// it is the only one left, and fails the job when none are usable.
 fn requeue(shared: &FleetShared, router: &mut RouterState, job: FleetJob) {
-    let usable: Vec<usize> = (0..shared.replicas.len())
-        .filter(|&i| shared.replicas[i].usable())
-        .collect();
-    let preferred: Vec<usize> = usable
-        .iter()
-        .copied()
-        .filter(|&i| Some(i) != job.excluded)
-        .collect();
-    let pool = if preferred.is_empty() {
-        &usable
-    } else {
-        &preferred
+    let shortest = |skip: Option<usize>| {
+        (0..shared.replicas.len())
+            .filter(|&i| shared.replicas[i].usable() && Some(i) != skip)
+            .min_by_key(|&i| router.queues[i].len())
     };
-    match pool.iter().copied().min_by_key(|&i| router.queues[i].len()) {
+    match shortest(job.excluded).or_else(|| shortest(None)) {
         Some(target) => router.queues[target].push_back(job),
-        None => finish(
-            router,
-            &job.state,
-            JobOutcome::Failed(PpError::Model("fleet lost all replicas".into())),
-        ),
+        None => job.job.settle(JobOutcome::Failed(PpError::Model(
+            "fleet lost all replicas".into(),
+        ))),
     }
 }
 
@@ -915,185 +776,46 @@ fn retire_replica(
     }
 }
 
-/// Runs one attempt of `job` on replica `r`. Holds no router lock: the
-/// job is owned by this runner, and the only cross-replica state it
-/// touches is the (internally synchronised) store named by
-/// `migrate_from`, whose owner is already retired.
-fn run_attempt(shared: &FleetShared, r: usize, job: &FleetJob) -> (Attempt, AttemptSide) {
-    let rep = &shared.replicas[r];
-    let mut side = AttemptSide::default();
-    if !rep.scheduler.is_healthy() {
-        return (Attempt::Lost, side);
-    }
-    let mut opts = job.proto.clone();
-    if let Some(at) = job.deadline_at {
-        opts.deadline = Some(at.saturating_duration_since(Instant::now()));
-        opts.hard_deadline = job.hard;
-    }
-    let cancel = job.proto.cancel.clone();
-
-    let (result, mut report) = match &job.affinity {
-        Some(key) => run_affinity_attempt(shared, r, job, key, opts, &mut side),
-        None => {
-            let session = match build_session(rep, job, opts) {
-                Ok(s) => s,
-                Err(e) => return (Attempt::Done(Box::new(JobOutcome::Failed(e))), side),
-            };
-            run_job(session, job.kind.clone(), job.budget)
-        }
-    };
-    report.attempts = job.attempt;
-
-    let verdict = match result {
-        Ok(()) if cancel.is_cancelled() => Attempt::Done(Box::new(JobOutcome::Cancelled(report))),
-        Ok(()) => Attempt::Done(Box::new(JobOutcome::Completed(report))),
-        Err(PpError::DeadlineExceeded { .. }) => {
-            Attempt::Done(Box::new(JobOutcome::TimedOut { partial: report }))
-        }
-        Err(PpError::Rejected { reason }) => Attempt::Done(Box::new(JobOutcome::Rejected {
-            reason,
-            partial: report,
-        })),
-        // Checked before the transient branch: a dead worker pool
-        // surfaces as a transient-looking error, but re-running on the
-        // same replica can never succeed — fail over instead, without
-        // consuming a retry attempt.
-        Err(_) if !rep.scheduler.is_healthy() => Attempt::Lost,
-        Err(e)
-            if e.is_transient()
-                && job.attempt < job.retry.max_attempts
-                && !cancel.is_cancelled() =>
-        {
-            Attempt::Retry
-        }
-        Err(e) => Attempt::Done(Box::new(JobOutcome::Failed(e))),
-    };
-    (verdict, side)
-}
-
-/// A fresh seeded session for one attempt, mirroring the service: the
-/// library and iteration cursor restart from scratch so a retried run
-/// is bit-identical to one that never faulted.
-fn build_session(rep: &Replica, job: &FleetJob, opts: StreamOptions) -> Result<Session, PpError> {
-    let mut s = rep.engine.session_seeded(job.seed);
-    if let Some(cfg) = job.config {
-        s = s.with_config(cfg)?;
-    }
-    Ok(s.with_options(opts).attach(&rep.scheduler))
-}
-
 /// One attempt of an affinity job: migrate serialized state if the
-/// session just re-homed, resume it when saved state exists (fresh
+/// session just re-homed, resume it when saved state exists (a fresh
 /// seeded session otherwise), run the rounds, and persist the session
 /// back to this replica's store on success — failed attempts save
 /// nothing, so a retry resumes from the last durable state and replays
-/// identically.
+/// identically. Affinity jobs report the session's cumulative totals.
+/// A migration counts as an affinity miss, a resume on the pinned
+/// replica as a hit.
 fn run_affinity_attempt(
     shared: &FleetShared,
     r: usize,
-    job: &FleetJob,
+    job: &AdmittedJob,
     key: &str,
-    opts: StreamOptions,
-    side: &mut AttemptSide,
+    migrate_from: Option<usize>,
 ) -> (Result<(), PpError>, JobReport) {
     let rep = &shared.replicas[r];
-    if let Some(from) = job.migrate_from {
+    let mut migrated = false;
+    if let Some(from) = migrate_from {
         let prefix = format!("session-{key}.");
         match copy_artifacts(&*shared.replicas[from].store, &*rep.store, &prefix) {
-            Ok(copied) => side.migrated = copied > 0,
-            Err(e) => return (Err(PpError::Artifact(e)), empty_report(job.attempt)),
+            Ok(copied) => migrated = copied > 0,
+            Err(e) => return (Err(PpError::Artifact(e)), job.empty_report()),
         }
     }
     let (meta_key, _) = session_keys(key);
-    let saved = rep.store.get(&meta_key).is_ok();
-    let (session, result_iters) = if saved {
-        match Session::resume(&rep.engine, &*rep.store, key) {
-            Ok(mut s) => {
-                side.resumed = true;
-                if let Some(cfg) = job.config {
-                    s = match s.with_config(cfg) {
-                        Ok(s) => s,
-                        Err(e) => return (Err(e), empty_report(job.attempt)),
-                    };
-                }
-                let mut s = s.with_options(opts).attach(&rep.scheduler);
-                let ri = run_continuation(&mut s, &job.kind, job.budget);
-                (s, ri)
-            }
-            Err(e) => return (Err(e), empty_report(job.attempt)),
+    let base = if rep.store.get(&meta_key).is_ok() {
+        let resumed = Session::resume(&rep.engine, &*rep.store, key);
+        let mut router = lock_router(shared);
+        if migrated {
+            router.counters.migrations += 1;
+            router.counters.affinity_misses += 1;
+        } else if resumed.is_ok() {
+            router.counters.affinity_hits += 1;
         }
+        resumed
     } else {
-        match build_session(rep, job, opts) {
-            Ok(mut s) => {
-                let ri = run_rounds(&mut s, job.kind.clone(), job.budget);
-                (s, ri)
-            }
-            Err(e) => return (Err(e), empty_report(job.attempt)),
-        }
+        Ok(rep.engine.session_seeded(job.seed))
     };
-    let (result, iterations) = result_iters;
-    let result = match result {
-        Ok(()) => session.save(&*rep.store, key),
-        Err(e) => Err(e),
-    };
-    let report = JobReport {
-        generated: session.generated_total(),
-        legal: session.legal_total(),
-        attempts: job.attempt,
-        iterations,
-        library: session.into_library(),
-        train: None,
-    };
-    (result, report)
-}
-
-/// The rounds of a *resumed* affinity session. Differs from
-/// [`run_rounds`] in two ways: an iterative kind that already ran its
-/// initial round skips straight to refinement (the cursor is restored
-/// from the manifest), and sample budgets bound this job's *delta*, not
-/// the session's lifetime totals.
-fn run_continuation(
-    session: &mut Session,
-    kind: &JobKind,
-    budget: Option<usize>,
-) -> (Result<(), PpError>, Vec<IterationStats>) {
-    let start = session.generated_total();
-    let mut iterations = Vec::new();
-    let result = (|| -> Result<(), PpError> {
-        match kind {
-            JobKind::Initial => {
-                let request = truncated(session.initial_request(), budget);
-                session.run_request(&request)?;
-            }
-            JobKind::Raw(request) => {
-                let request = truncated(request.clone(), budget);
-                session.run_request(&request)?;
-            }
-            JobKind::Iterative { iterations: n } => {
-                if session.next_iteration() == 0 {
-                    let request = truncated(session.initial_request(), budget);
-                    session.run_request(&request)?;
-                    session.seed_starters();
-                }
-                for _ in 0..*n {
-                    if session.options().cancel.is_cancelled() {
-                        break;
-                    }
-                    if budget.is_some_and(|b| session.generated_total() - start >= b) {
-                        break;
-                    }
-                    iterations.extend(session.iterate(1)?);
-                }
-            }
-            // Unreachable: Fleet::submit rejects Train jobs before any
-            // replica runner sees them.
-            JobKind::Train(_) => {
-                return Err(PpError::Config(
-                    "train jobs do not run generation rounds".into(),
-                ))
-            }
-        }
-        Ok(())
-    })();
-    (result, iterations)
+    match base.and_then(|s| job.session(s, rep.scheduler.handle())) {
+        Ok(session) => job.run_session(session, |s| s.save(&*rep.store, key)),
+        Err(e) => (Err(e), job.empty_report()),
+    }
 }

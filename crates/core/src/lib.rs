@@ -70,20 +70,27 @@
 //! [`Scheduler::stats`] snapshots queue depths and dispatch counters
 //! ([`SchedulerStats`]). The runtime underneath is *supervised*: worker
 //! panics are isolated to the one submission that was running
-//! ([`PpError::WorkerPanic`]), jobs carrying a [`RetryPolicy`] re-run
-//! transient failures with bounded backoff, hard deadlines resolve to
-//! [`JobOutcome::TimedOut`] with partial results, and the whole story
-//! is provable through deterministic fault injection ([`fault`],
+//! ([`PpError::WorkerPanic`]), and the whole story is provable through
+//! deterministic fault injection ([`fault`],
 //! `tests/chaos_scheduler.rs`).
 //!
-//! **Fleet.** [`Fleet`] scales the same front door across N engine
-//! replicas opened from one checkpoint: a work-stealing router places
-//! jobs at job granularity, admission is back-pressure-aware on
-//! aggregated [`SchedulerStats`], session-affinity keys pin iterative
-//! work to the replica holding its state (with explicit PPSQ migration
-//! when that replica is lost or drained), and per-job results stay
-//! bit-identical to a single replica. [`Fleet::stats`] exposes
-//! per-replica and merged counters ([`FleetStats`]).
+//! **One job lifecycle, two dispatchers.** Every admitted job, on
+//! either front door, goes through the same lifecycle: per-class
+//! admission counted once, a fresh seeded session per attempt, one
+//! classification of each attempt, [`RetryPolicy`] retries of transient
+//! failures with bounded backoff, hard deadlines resolving to
+//! [`JobOutcome::TimedOut`] with partial results, and settlement exactly
+//! once — a panic in a stage on the dispatching thread settles the job
+//! `Failed` instead of losing it. [`Service`] dispatches each job on its
+//! own thread over one scheduler. [`Fleet`] dispatches the same jobs
+//! across N engine replicas opened from one checkpoint: a work-stealing
+//! router places jobs at job granularity, admission is
+//! back-pressure-aware on aggregated [`SchedulerStats`],
+//! session-affinity keys pin iterative work to the replica holding its
+//! state (with explicit PPSQ migration when that replica is lost or
+//! drained), and per-job results stay bit-identical to a single
+//! replica. [`Fleet::stats`] exposes per-replica and merged counters
+//! ([`FleetStats`]).
 //!
 //! **Training.** Fine-tuning is a job too: [`JobSpec::train`] runs a
 //! [`TrainSpec`] (dataset synthesis from the PDK + saved session
@@ -135,6 +142,7 @@ pub mod fleet;
 pub mod jobs;
 pub mod jobspec;
 pub mod library;
+mod lifecycle;
 pub mod pipeline;
 pub mod scheduler;
 pub mod service;
@@ -153,14 +161,13 @@ pub use fleet::{Fleet, FleetOptions, FleetStats, ReplicaStats};
 pub use jobs::JobSet;
 pub use jobspec::{JobKind, JobSpec, QosClass, RetryPolicy};
 pub use library::PatternLibrary;
+pub use lifecycle::{JobHandle, JobOutcome, JobReport, JobStatus};
 pub use pipeline::{GenerationRound, IterationStats, PatternPaint, RawSample};
 pub use scheduler::{
     ClassCounts, DeadlineFirst, QueueLimits, RoundRobin, SchedPolicy, SchedView, ScheduledSampler,
     Scheduler, SchedulerHandle, SchedulerOptions, SchedulerStats, SessionSched, WeightedFair,
 };
-pub use service::{
-    JobHandle, JobOutcome, JobReport, JobStatus, Service, ServiceOptions, ServiceStats,
-};
+pub use service::{Service, ServiceOptions, ServiceStats};
 pub use stages::{
     denoise_and_admit, run_round, run_round_into, DiffusionSampler, DrcValidator, PatternDenoiser,
     SampleStream, Sampler, Selector, Validator,

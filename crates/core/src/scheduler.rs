@@ -319,7 +319,7 @@ pub struct ClassCounts {
 }
 
 impl ClassCounts {
-    fn from_raw(raw: [u64; 3]) -> ClassCounts {
+    pub(crate) fn from_raw(raw: [u64; 3]) -> ClassCounts {
         ClassCounts {
             interactive: raw[0],
             batch: raw[1],

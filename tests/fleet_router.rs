@@ -16,14 +16,17 @@
 //!   serialized state when their replica is drained.
 //! * **Admission** — per-class depth limits and best-effort
 //!   back-pressure shedding reject at the router, counted by cause;
-//!   cancellation and hard deadlines reach queued jobs.
+//!   cancellation and hard deadlines reach queued jobs, including jobs
+//!   waiting out a retry backoff.
+//! * **Panic isolation** — a stage panicking on a runner thread settles
+//!   its job `Failed`, as on a `Service`, and the runner keeps serving.
 //!
 //! The `chaos_` test joins the `./ci.sh --chaos` seed sweep.
 
 use patternpaint::core::{
     DeadlineFirst, Engine, Fault, FaultPlan, Fleet, FleetOptions, GenerationRequest, JobOutcome,
-    JobSet, JobSpec, MemStore, PipelineConfig, PpError, QosClass, QueueLimits, RetryPolicy,
-    SchedPolicy, SchedView, SchedulerOptions, WeightedFair,
+    JobSet, JobSpec, MemStore, PipelineConfig, PpError, QosClass, QueueLimits, RawSample,
+    RetryPolicy, Sampler, SchedPolicy, SchedView, SchedulerOptions, WeightedFair,
 };
 use patternpaint::geometry::Layout;
 use patternpaint::pdk::SynthNode;
@@ -446,6 +449,103 @@ fn cancellation_and_deadlines_reach_queued_jobs() {
         slow.wait().is_completed(),
         "the slow job itself is unaffected"
     );
+}
+
+/// The fleet run of `qos_scheduler`'s
+/// `cancel_during_retry_backoff_abandons_without_ghost_resubmission`:
+/// attempt 1 panics mid-submission, the job waits out a long backoff in
+/// the router queue, and a cancel there settles it `Cancelled` with an
+/// empty report that counts only the attempt that ran.
+#[test]
+fn cancel_during_retry_backoff_counts_only_the_attempt_that_ran() {
+    let (engine, store) = saved_store(13);
+    // The replica's first scheduler session (attempt 1) panics on its
+    // second micro-batch.
+    let fleet = Fleet::open(
+        &store,
+        FleetOptions::new().with_replicas(1).scheduler_factory(|_| {
+            SchedulerOptions::new().faults(FaultPlan::new().inject(1, Fault::PanicAt { batch: 1 }))
+        }),
+    )
+    .expect("fleet opens");
+    let handle = fleet
+        .submit(
+            JobSpec::raw(request(&engine, 12, 40))
+                .with_retry(RetryPolicy::new(2, Duration::from_millis(500))),
+        )
+        .expect("admitted");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = fleet.stats();
+        if stats.retries >= 1 && stats.aggregated.abandoned.total() >= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "retry/abandon never happened: {stats:?}"
+        );
+        std::thread::yield_now();
+    }
+    handle.cancel();
+    match handle.wait_timeout(Duration::from_secs(10)) {
+        Ok(JobOutcome::Cancelled(report)) => {
+            assert_eq!(report.attempts, 1, "attempt 2 must never have started");
+            assert_eq!(report.generated, 0, "cancelled between attempts");
+        }
+        Ok(other) => panic!("expected Cancelled, got: {other}"),
+        Err(_) => panic!("the cancelled job never settled"),
+    }
+    let stats = fleet.stats();
+    assert_eq!(
+        stats.aggregated.admitted.total(),
+        1,
+        "only attempt 1's submission ever reached the scheduler"
+    );
+    assert_eq!(stats.retries, 1, "the retry was booked, then dropped");
+    assert_eq!(stats.active.total(), 0);
+}
+
+/// A custom sampler runs on the replica's runner thread. One that
+/// panics must settle its job `Failed` — exactly as a `Service` does —
+/// and leave the runner serving: the job queued behind it (an ordinary
+/// sampler error) settles too, the admission slots free, and the
+/// replica stays in rotation because its scheduler is unharmed.
+#[test]
+fn panicking_stage_settles_failed_and_the_replica_keeps_serving() {
+    struct Faulty;
+    impl Sampler for Faulty {
+        fn sample(&self, _jobs: &JobSet, seed: u64) -> Result<Vec<RawSample>, PpError> {
+            match seed {
+                1 => panic!("sampler exploded"),
+                _ => Err(PpError::Model("sampler refused".into())),
+            }
+        }
+    }
+    let engine = Engine::builder(SynthNode::small(), PipelineConfig::tiny())
+        .sampler(Faulty)
+        .untrained_engine()
+        .expect("tiny config is valid");
+    let fleet = Fleet::replicate(&engine, FleetOptions::new().with_replicas(1));
+    let panicking = fleet
+        .submit(JobSpec::raw(request(&engine, 4, 1)))
+        .expect("admitted");
+    let erroring = fleet
+        .submit(JobSpec::raw(request(&engine, 4, 2)))
+        .expect("admitted");
+    for (handle, expected) in [(panicking, "panicked"), (erroring, "sampler refused")] {
+        match handle.wait_timeout(Duration::from_secs(10)) {
+            Ok(JobOutcome::Failed(e)) => {
+                assert!(e.to_string().contains(expected), "wrong error: {e}")
+            }
+            Ok(other) => panic!("expected Failed ({expected}), got: {other}"),
+            Err(_) => panic!("the job failing with {expected:?} never settled"),
+        }
+    }
+    let stats = fleet.stats();
+    assert_eq!(stats.active.total(), 0, "both admission slots freed");
+    assert_eq!(stats.finished.total(), 2);
+    assert_eq!(stats.retries, 0, "a panic is not retried");
+    assert!(stats.replicas[0].healthy, "the replica stays in rotation");
 }
 
 /// The `SchedulerStats::merge` surface the router's admission reads:

@@ -394,6 +394,10 @@ fn cancel_during_retry_backoff_abandons_without_ghost_resubmission() {
     match handle.wait() {
         JobOutcome::Cancelled(report) => {
             assert_eq!(report.attempts, 1, "attempt 2 must never have started");
+            assert_eq!(
+                report.generated, 0,
+                "the faulted attempt 1 contributes nothing to the report"
+            );
         }
         other => panic!("expected Cancelled, got: {other}"),
     }

@@ -435,3 +435,46 @@ fn saved_session_library_feeds_training() {
     };
     assert!(matches!(err, PpError::Artifact(_)), "was: {err}");
 }
+
+/// A train job cancelled while it waits out a retry backoff settles
+/// `Cancelled` with an empty report that counts only the attempt that
+/// ran (attempt 2 never started), like a generation job.
+#[test]
+fn cancel_during_train_retry_backoff_counts_only_the_attempt_that_ran() {
+    let engine = tiny_engine(43);
+    let store = Arc::new(MemStore::new());
+    // The train job is the service's first submission → scheduler
+    // session 1; the fault fires at epoch ordinal 0.
+    let service = Service::new(
+        &engine,
+        ServiceOptions {
+            threads: 1,
+            scheduler: SchedulerOptions::new()
+                .faults(FaultPlan::new().inject(1, Fault::PanicAt { batch: 0 })),
+            store: Some(Arc::clone(&store) as Arc<dyn ArtifactStore>),
+            ..Default::default()
+        },
+    );
+    let handle = service
+        .submit(
+            JobSpec::train(tiny_spec("backoff"))
+                .with_retry(RetryPolicy::new(2, Duration::from_millis(500))),
+        )
+        .expect("admitted");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while service.stats().retries < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the retry was never booked"
+        );
+        std::thread::yield_now();
+    }
+    handle.cancel();
+    match handle.wait() {
+        JobOutcome::Cancelled(report) => {
+            assert_eq!(report.attempts, 1, "attempt 2 must never have started");
+            assert!(report.train.is_none(), "no attempt finished an epoch");
+        }
+        other => panic!("expected Cancelled, got: {other}"),
+    }
+}
