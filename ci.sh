@@ -5,8 +5,9 @@
 # job counts (no BENCH_*.json is written) so they cannot silently rot,
 # to build and unit-test the repository benchmark (perfbench/, the
 # package BENCHMARK.json runs) against the current crates, and to run
-# its serve_mixed and retrain_serve workloads for 3 s each (the first
-# run of a build also prepares the benchmark models, about 45 s).
+# its campaign, serve_mixed and retrain_serve workloads for 3 s each
+# (the first run of a build also prepares the benchmark models, about
+# 45 s).
 # Pass --chaos to additionally sweep the deterministic fault-injection
 # suite (tests/chaos_scheduler.rs) across fixed PP_CHAOS_SEED values.
 # Pass --analyze to run ONLY the pp-analyze static-analysis gate (fast
@@ -59,11 +60,12 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     echo "==> bench smoke: perfbench unit tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
-    # The serving workloads drive the Service job lifecycle end to end;
-    # their output gate (budgets met, background and train jobs
-    # finished, outputs equal to this build's record) fails the run
-    # with a non-zero exit.
-    for workload in serve_mixed retrain_serve; do
+    # campaign runs the finetune and the solo round path end to end;
+    # the serving workloads drive the Service job lifecycle. Each
+    # output gate (budgets met, background and train jobs finished,
+    # outputs equal to this build's record) fails the run with a
+    # non-zero exit.
+    for workload in campaign serve_mixed retrain_serve; do
         echo "==> bench smoke: perfbench $workload (3 s)"
         cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 3 --trace 0

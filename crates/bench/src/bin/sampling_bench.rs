@@ -36,8 +36,9 @@
 //!      submit→first-dispatch waits and slot occupancy.
 //! 3. **layers** — every convolution of the standard U-Net timed alone
 //!    through `Conv2d::forward_infer` at batch width 16 (ms per call,
-//!    GF/s), next to a whole `UNet::forward_infer` at the same width,
-//!    so the conv share of a forward is measured rather than assumed.
+//!    GF/s), every GroupNorm→SiLU pass and both pools the same way,
+//!    next to a whole `UNet::forward_infer` at that width, so each
+//!    layer's share of a forward is measured rather than assumed.
 //!
 //! All modes run the same worker-thread count, so the reported speedup
 //! is purely kernels + batching. Results go to `BENCH_sampling.json` at
@@ -58,7 +59,7 @@ use patternpaint_core::{
 use pp_diffusion::{DiffusionModel, UNet, UNetConfig};
 use pp_geometry::GrayImage;
 use pp_inpaint::MaskSet;
-use pp_nn::{gemm, Conv2d, Layer, Tensor, Workspace};
+use pp_nn::{gemm, AvgPool2, Conv2d, GroupNorm, Layer, Tensor, Workspace};
 use pp_pdk::SynthNode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -269,6 +270,31 @@ fn unet_convs(c: usize, s: usize) -> [(&'static str, usize, usize, usize, usize)
     ]
 }
 
+/// One GroupNorm→SiLU pass of the U-Net: `(name, channels, side)`, in
+/// forward order — the shapes `UNet::new` builds.
+fn unet_norms(c: usize, s: usize) -> [(&'static str, usize, usize); 13] {
+    [
+        ("rb1.gn1", c, s),
+        ("rb1.gn2", c, s),
+        ("rb2.gn1", c, s / 2),
+        ("rb2.gn2", 2 * c, s / 2),
+        ("rb3.gn1", 2 * c, s / 4),
+        ("rb3.gn2", 4 * c, s / 4),
+        ("mid.gn1", 4 * c, s / 4),
+        ("mid.gn2", 4 * c, s / 4),
+        ("rb4.gn1", 6 * c, s / 2),
+        ("rb4.gn2", 2 * c, s / 2),
+        ("rb5.gn1", 3 * c, s),
+        ("rb5.gn2", c, s),
+        ("gn_out", c, s),
+    ]
+}
+
+/// The U-Net's two average pools: `(name, channels, input side)`.
+fn unet_pools(c: usize, s: usize) -> [(&'static str, usize, usize); 2] {
+    [("down1", c, s), ("down2", 2 * c, s / 2)]
+}
+
 /// A `[n, c, s, s]` tensor of uniform values in `[-1, 1)`.
 fn random_input(n: usize, c: usize, s: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -278,46 +304,88 @@ fn random_input(n: usize, c: usize, s: usize, seed: u64) -> Tensor {
     Tensor::from_vec([n, c, s, s], data)
 }
 
-/// Median seconds per call of `f` over `reps` timed calls, after two
-/// untimed warm-up calls.
-fn median_call_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
+/// Median milliseconds per call of each of `calls`, sampled round-robin
+/// over `reps` rounds: each round calls every closure twice in turn and
+/// times the second call. A burst of host noise thus lands on every row
+/// alike instead of on whichever row it overlaps, and each timed call
+/// finds its own data warm, as it does inside a forward.
+fn round_robin_ms(reps: usize, calls: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
+    let mut times = vec![Vec::with_capacity(reps); calls.len()];
+    for _ in 0..reps {
+        for (f, t) in calls.iter_mut().zip(&mut times) {
             f();
-            t.elapsed().as_secs_f64()
+            let start = Instant::now();
+            f();
+            t.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
         })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+        .collect()
 }
 
-/// The `layers` block: every U-Net convolution timed alone through
-/// `Conv2d::forward_infer` at batch width [`LAYER_WIDTH`], and a whole
-/// `UNet::forward_infer` at that width for the conv share.
+/// The `layers` block at batch width [`LAYER_WIDTH`]: every U-Net
+/// convolution through `Conv2d::forward_infer`, every GroupNorm→SiLU
+/// pass through `GroupNorm::forward_silu_infer` and both pools through
+/// `AvgPool2::forward_infer`, each alone on its own random input, timed
+/// round-robin with a whole `UNet::forward_infer`. `other_ms` is the
+/// forward minus all rows (upsample→concat, time bias, residual adds,
+/// time embedding).
 fn layer_table(model: UNetConfig, smoke: bool) -> serde_json::Value {
-    let reps = if smoke { 3 } else { 21 };
+    let reps = if smoke { 3 } else { 41 };
     let (c, s) = (model.base_ch, model.image as usize);
-    let mut rows = Vec::new();
-    let mut conv_ms = 0.0;
+    let mut calls: Vec<Box<dyn FnMut()>> = Vec::new();
+    for (i, (_, in_c, out_c, k, side)) in unet_convs(c, s).into_iter().enumerate() {
+        let mut conv = Conv2d::new(in_c, out_c, k, i as u64);
+        let x = random_input(LAYER_WIDTH, in_c, side, i as u64);
+        let mut ws = Workspace::new();
+        calls.push(Box::new(move || {
+            let y = conv.forward_infer(black_box(&x), &mut ws);
+            ws.give(black_box(y).into_vec());
+        }));
+    }
+    for (i, (_, ch, side)) in unet_norms(c, s).into_iter().enumerate() {
+        let gn = GroupNorm::new(ch, pp_diffusion::unet::groups_for(ch));
+        let x = random_input(LAYER_WIDTH, ch, side, 100 + i as u64);
+        let mut ws = Workspace::new();
+        calls.push(Box::new(move || {
+            let y = gn.forward_silu_infer(black_box(&x), &mut ws);
+            ws.give(black_box(y).into_vec());
+        }));
+    }
+    for (i, (_, ch, side)) in unet_pools(c, s).into_iter().enumerate() {
+        let mut pool = AvgPool2::new();
+        let x = random_input(LAYER_WIDTH, ch, side, 200 + i as u64);
+        let mut ws = Workspace::new();
+        calls.push(Box::new(move || {
+            let y = pool.forward_infer(black_box(&x), &mut ws);
+            ws.give(black_box(y).into_vec());
+        }));
+    }
+    let mut unet = UNet::new(model, 100, 11);
+    let x = random_input(LAYER_WIDTH, 3, s, 99);
+    let ts = vec![50usize; LAYER_WIDTH];
+    calls.push(Box::new(move || {
+        let y = unet.forward_infer(black_box(&x), &ts);
+        unet.recycle(black_box(y));
+    }));
+    let mut ms = round_robin_ms(reps, &mut calls).into_iter();
+
     println!();
     println!(
         "{:<10} {:>14} {:>10} {:>10} {:>8}",
         "layer", "m x k x n", "MFLOP", "ms/call", "GF/s"
     );
-    for (i, (name, in_c, out_c, k, side)) in unet_convs(c, s).into_iter().enumerate() {
-        let mut conv = Conv2d::new(in_c, out_c, k, i as u64);
-        let x = random_input(LAYER_WIDTH, in_c, side, i as u64);
-        let mut ws = Workspace::new();
-        let secs = median_call_secs(reps, || {
-            let y = conv.forward_infer(black_box(&x), &mut ws);
-            ws.give(black_box(y).into_vec());
-        });
+    let mut rows = Vec::new();
+    let mut conv_ms = 0.0;
+    for ((name, in_c, out_c, k, side), ms) in unet_convs(c, s).into_iter().zip(&mut ms) {
         let (gm, gk, gn) = (out_c, in_c * k * k, side * side);
         let flops = 2.0 * (gm * gk * gn * LAYER_WIDTH) as f64;
-        let (ms, gflops) = (secs * 1e3, flops / secs / 1e9);
+        let gflops = flops / ms / 1e6;
         conv_ms += ms;
         println!(
             "{name:<10} {:>14} {:>10.2} {ms:>10.3} {gflops:>8.1}",
@@ -334,24 +402,59 @@ fn layer_table(model: UNetConfig, smoke: bool) -> serde_json::Value {
             "gflops": gflops,
         }));
     }
-    let mut unet = UNet::new(model, 100, 11);
-    let x = random_input(LAYER_WIDTH, 3, s, 99);
-    let ts = vec![50usize; LAYER_WIDTH];
-    let forward_ms = median_call_secs(reps, || {
-        let y = unet.forward_infer(black_box(&x), &ts);
-        unet.recycle(black_box(y));
-    }) * 1e3;
+    // The memory-bound rows: ms per call at the input's shape.
+    println!("{:<10} {:>14} {:>10}", "layer", "c x h x w", "ms/call");
+    let mut norm_rows = Vec::new();
+    let mut norm_ms = 0.0;
+    for ((name, ch, side), ms) in unet_norms(c, s).into_iter().zip(&mut ms) {
+        norm_ms += ms;
+        println!(
+            "{name:<10} {:>14} {ms:>10.3}",
+            format!("{ch}x{side}x{side}")
+        );
+        norm_rows.push(json!({
+            "name": name,
+            "channels": ch,
+            "side": side,
+            "groups": pp_diffusion::unet::groups_for(ch),
+            "ms_per_call": ms,
+        }));
+    }
+    let mut pool_rows = Vec::new();
+    let mut pool_ms = 0.0;
+    for ((name, ch, side), ms) in unet_pools(c, s).into_iter().zip(&mut ms) {
+        pool_ms += ms;
+        println!(
+            "{name:<10} {:>14} {ms:>10.3}",
+            format!("{ch}x{side}x{side}")
+        );
+        pool_rows.push(json!({
+            "name": name,
+            "channels": ch,
+            "side": side,
+            "ms_per_call": ms,
+        }));
+    }
+    let forward_ms = ms.next().expect("the forward is the last call");
+    let other_ms = forward_ms - conv_ms - norm_ms - pool_ms;
     println!(
-        "convs {conv_ms:.2} ms of a {forward_ms:.2} ms forward at width {LAYER_WIDTH} \
-         ({:.0}%)",
-        100.0 * conv_ms / forward_ms
+        "a {forward_ms:.2} ms forward at width {LAYER_WIDTH}: convs {conv_ms:.2} ms ({:.0}%), \
+         GroupNorm→SiLU {norm_ms:.2} ms ({:.0}%), pools {pool_ms:.2} ms, other {other_ms:.2} ms",
+        100.0 * conv_ms / forward_ms,
+        100.0 * norm_ms / forward_ms,
     );
     json!({
         "width": LAYER_WIDTH,
         "convs": rows,
         "conv_ms": conv_ms,
+        "norms": norm_rows,
+        "norm_ms": norm_ms,
+        "pools": pool_rows,
+        "pool_ms": pool_ms,
+        "other_ms": other_ms,
         "forward_ms": forward_ms,
         "conv_share": conv_ms / forward_ms,
+        "norm_share": norm_ms / forward_ms,
     })
 }
 

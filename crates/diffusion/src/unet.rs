@@ -46,7 +46,8 @@ impl UNetConfig {
     }
 }
 
-fn groups_for(c: usize) -> usize {
+/// The GroupNorm group count the U-Net uses for `c` channels.
+pub fn groups_for(c: usize) -> usize {
     if c.is_multiple_of(4) && c >= 8 {
         4
     } else if c.is_multiple_of(2) {
@@ -135,11 +136,9 @@ impl ResBlock {
     /// Inference-only forward: borrows inputs, caches nothing, and
     /// recycles every intermediate through `ws`.
     fn forward_infer(&mut self, x: &Tensor, emb: &Tensor, ws: &mut Workspace) -> Tensor {
-        let a = self.gn1.forward_infer(x, ws);
-        let b = self.silu1.forward_infer(&a, ws);
+        let a = self.gn1.forward_silu_infer(x, ws);
+        let mut h = self.conv1.forward_infer(&a, ws);
         ws.give(a.into_vec());
-        let mut h = self.conv1.forward_infer(&b, ws);
-        ws.give(b.into_vec());
         let tb = self.time_proj.forward_infer(emb, ws);
         for b in 0..h.n() {
             for c in 0..self.out_c {
@@ -150,12 +149,10 @@ impl ResBlock {
             }
         }
         ws.give(tb.into_vec());
-        let a = self.gn2.forward_infer(&h, ws);
+        let a = self.gn2.forward_silu_infer(&h, ws);
         ws.give(h.into_vec());
-        let b = self.silu2.forward_infer(&a, ws);
+        let mut out = self.conv2.forward_infer(&a, ws);
         ws.give(a.into_vec());
-        let mut out = self.conv2.forward_infer(&b, ws);
-        ws.give(b.into_vec());
         match &mut self.skip {
             Some(c) => {
                 let s = c.forward_infer(x, ws);
@@ -336,31 +333,21 @@ impl UNet {
         let hm = self.mid.forward_infer(&h3, &emb, &mut ws);
         ws.give(h3.into_vec());
 
-        let u2 = self.up2.forward_infer(&hm, &mut ws);
+        let c2 = self.up2.forward_concat_infer(&hm, &h2, &mut ws);
         ws.give(hm.into_vec());
-        let [n, cu, h, w] = u2.shape();
-        let mut c2 = Tensor::from_vec([n, cu + h2.c(), h, w], ws.take(n * (cu + h2.c()) * h * w));
-        u2.concat_channels_into(&h2, &mut c2);
-        ws.give(u2.into_vec());
         ws.give(h2.into_vec());
         let h4 = self.rb4.forward_infer(&c2, &emb, &mut ws);
         ws.give(c2.into_vec());
 
-        let u1 = self.up1.forward_infer(&h4, &mut ws);
+        let c1 = self.up1.forward_concat_infer(&h4, &h1, &mut ws);
         ws.give(h4.into_vec());
-        let [n, cu, h, w] = u1.shape();
-        let mut c1 = Tensor::from_vec([n, cu + h1.c(), h, w], ws.take(n * (cu + h1.c()) * h * w));
-        u1.concat_channels_into(&h1, &mut c1);
-        ws.give(u1.into_vec());
         ws.give(h1.into_vec());
         let h5 = self.rb5.forward_infer(&c1, &emb, &mut ws);
         ws.give(c1.into_vec());
         ws.give(emb.into_vec());
 
-        let g = self.gn_out.forward_infer(&h5, &mut ws);
+        let s = self.gn_out.forward_silu_infer(&h5, &mut ws);
         ws.give(h5.into_vec());
-        let s = self.silu_out.forward_infer(&g, &mut ws);
-        ws.give(g.into_vec());
         let y = self.conv_out.forward_infer(&s, &mut ws);
         ws.give(s.into_vec());
         self.ws = ws;
@@ -461,37 +448,59 @@ mod tests {
         assert_ne!(a.data(), b.data());
     }
 
-    #[test]
-    fn infer_matches_forward_bitwise() {
-        let mut net = UNet::new(UNetConfig::tiny(8), 10, 11);
-        let x = random_input(2, 8, 12);
-        let ts = [3usize, 8];
-        let trained = net.forward(x.clone(), &ts);
-        let inferred = net.forward_infer(&x, &ts);
+    /// `forward_infer` equals `forward` bitwise, also on a second call
+    /// that reuses pooled buffers.
+    fn check_infer_matches_forward(cfg: UNetConfig, ts: &[usize], seed: u64) {
+        let mut net = UNet::new(cfg, 10, seed);
+        let x = random_input(ts.len(), cfg.image, seed + 1);
+        let trained = net.forward(x.clone(), ts);
+        let inferred = net.forward_infer(&x, ts);
         assert_eq!(trained.data(), inferred.data());
-        // A second inference pass reuses pooled buffers and must still
-        // be bit-identical.
         net.recycle(inferred);
-        let again = net.forward_infer(&x, &ts);
+        let again = net.forward_infer(&x, ts);
         assert_eq!(trained.data(), again.data());
     }
 
     /// Each sample of a batched inference pass computes exactly what it
     /// computes alone — the invariant batched DDIM sampling relies on.
-    #[test]
-    fn infer_batch_rows_match_solo() {
-        let mut net = UNet::new(UNetConfig::tiny(8), 10, 13);
-        let xb = random_input(3, 8, 14);
-        let ts = [1usize, 5, 9];
-        let yb = net.forward_infer(&xb, &ts);
-        for b in 0..3 {
-            let mut xs = Tensor::zeros([1, 3, 8, 8]);
+    fn check_batch_rows_match_solo(cfg: UNetConfig, ts: &[usize], seed: u64) {
+        let mut net = UNet::new(cfg, 10, seed);
+        let side = cfg.image as usize;
+        let xb = random_input(ts.len(), cfg.image, seed + 1);
+        let yb = net.forward_infer(&xb, ts);
+        for b in 0..ts.len() {
+            let mut xs = Tensor::zeros([1, 3, side, side]);
             for c in 0..3 {
                 xs.plane_mut(0, c).copy_from_slice(xb.plane(b, c));
             }
             let ys = net.forward_infer(&xs, &ts[b..b + 1]);
             assert_eq!(ys.plane(0, 0), yb.plane(b, 0), "sample {b} diverged");
             net.recycle(ys);
+        }
+    }
+
+    /// The tiny preset, then the standard U-Net at widths 16 and 3 (up
+    /// to 96 channels and 32×32 planes; the tiny preset has at most 12
+    /// channels and 8×8 planes).
+    fn identity_cases() -> [(UNetConfig, Vec<usize>); 3] {
+        [
+            (UNetConfig::tiny(8), vec![1, 5, 9]),
+            (UNetConfig::standard(32), (0..16).map(|i| i % 10).collect()),
+            (UNetConfig::standard(32), vec![2, 7, 3]),
+        ]
+    }
+
+    #[test]
+    fn infer_matches_forward_bitwise() {
+        for (i, (cfg, ts)) in identity_cases().into_iter().enumerate() {
+            check_infer_matches_forward(cfg, &ts, 11 + i as u64);
+        }
+    }
+
+    #[test]
+    fn infer_batch_rows_match_solo() {
+        for (i, (cfg, ts)) in identity_cases().into_iter().enumerate() {
+            check_batch_rows_match_solo(cfg, &ts, 13 + i as u64);
         }
     }
 

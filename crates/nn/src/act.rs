@@ -64,8 +64,28 @@ fn silu_poly_scalar(x: f32) -> f32 {
     x / (1.0 + p * pow2n)
 }
 
-/// AVX2+FMA SiLU over full 8-lane chunks; the caller handles the tail
-/// with [`silu_poly_scalar`], which matches lane-for-lane.
+/// The affine step GroupNorm applies to one plane before its SiLU:
+/// `γ·((x − mean)·inv_σ) + β`, each operation rounded on its own, in
+/// the order the training path runs them (x̂ first, then the affine
+/// map).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Affine {
+    pub(crate) mean: f32,
+    pub(crate) inv_sigma: f32,
+    pub(crate) gamma: f32,
+    pub(crate) beta: f32,
+}
+
+impl Affine {
+    #[inline]
+    fn apply(self, x: f32) -> f32 {
+        self.gamma * ((x - self.mean) * self.inv_sigma) + self.beta
+    }
+}
+
+/// AVX2+FMA SiLU over full 8-lane chunks, after `affine` when one is
+/// given; the caller handles the tail with [`silu_poly_scalar`] (and
+/// [`Affine::apply`]), which match lane-for-lane.
 ///
 /// # Safety
 ///
@@ -73,13 +93,21 @@ fn silu_poly_scalar(x: f32) -> f32 {
 /// first `len - len % 8` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn silu_avx(dst: &mut [f32], src: &[f32]) -> usize {
+unsafe fn silu_avx(dst: &mut [f32], src: &[f32], affine: Option<Affine>) -> usize {
     use std::arch::x86_64::*;
     // SAFETY: the caller upholds this fn's `# Safety` contract (AVX2+FMA
     // present); `chunks = min(len) / 8` bounds every load/store.
     unsafe {
         let len = dst.len().min(src.len());
         let chunks = len / 8;
+        let affine = affine.map(|a| {
+            [
+                _mm256_set1_ps(a.mean),
+                _mm256_set1_ps(a.inv_sigma),
+                _mm256_set1_ps(a.gamma),
+                _mm256_set1_ps(a.beta),
+            ]
+        });
         let log2e = _mm256_set1_ps(-LOG2E);
         let lo = _mm256_set1_ps(-126.0);
         let hi = _mm256_set1_ps(126.0);
@@ -92,7 +120,12 @@ unsafe fn silu_avx(dst: &mut [f32], src: &[f32]) -> usize {
         let c3 = _mm256_set1_ps(EXP2_POLY[3]);
         let c4 = _mm256_set1_ps(EXP2_POLY[4]);
         for i in 0..chunks {
-            let x = _mm256_loadu_ps(src.as_ptr().add(i * 8));
+            let mut x = _mm256_loadu_ps(src.as_ptr().add(i * 8));
+            if let Some([mean, inv_sigma, gamma, beta]) = affine {
+                // Mirror Affine::apply: no fused steps.
+                let xh = _mm256_mul_ps(_mm256_sub_ps(x, mean), inv_sigma);
+                x = _mm256_add_ps(_mm256_mul_ps(gamma, xh), beta);
+            }
             let t = _mm256_max_ps(lo, _mm256_min_ps(hi, _mm256_mul_ps(x, log2e)));
             let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(t);
             let r = _mm256_sub_ps(t, n);
@@ -113,12 +146,17 @@ unsafe fn silu_avx(dst: &mut [f32], src: &[f32]) -> usize {
     }
 }
 
-/// Writes `silu(src)` into `dst`: libm reference when
-/// [`crate::gemm::force_naive`] is set, the polynomial kernel otherwise
-/// (vectorised where the CPU allows).
-fn silu_slice(dst: &mut [f32], src: &[f32]) {
+/// Writes `silu(src)` into `dst`, or `silu(affine(src))` when `affine`
+/// is given: libm reference when [`crate::gemm::force_naive`] is set,
+/// the polynomial kernel otherwise (vectorised where the CPU allows).
+///
+/// Plain SiLU never runs through an identity affine step: `1·x + 0`
+/// turns −0.0 into +0.0.
+pub(crate) fn silu_into(dst: &mut [f32], src: &[f32], affine: Option<Affine>) {
+    let pre = |v: f32| affine.map_or(v, |a| a.apply(v));
     if crate::gemm::force_naive() {
         for (o, &v) in dst.iter_mut().zip(src) {
+            let v = pre(v);
             *o = v * sigmoid(v);
         }
         return;
@@ -127,24 +165,24 @@ fn silu_slice(dst: &mut [f32], src: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
         // SAFETY: feature-detected; silu_avx stays within both slices.
-        done = unsafe { silu_avx(dst, src) };
+        done = unsafe { silu_avx(dst, src, affine) };
     }
     for (o, &v) in dst[done..].iter_mut().zip(&src[done..]) {
-        *o = silu_poly_scalar(v);
+        *o = silu_poly_scalar(pre(v));
     }
 }
 
 impl Layer for Silu {
     fn forward(&mut self, x: Tensor) -> Tensor {
         let mut y = x.clone();
-        silu_slice(y.data_mut(), x.data());
+        silu_into(y.data_mut(), x.data(), None);
         self.cached_input = Some(x);
         y
     }
 
     fn forward_infer(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut y = Tensor::from_vec(x.shape(), ws.take(x.len()));
-        silu_slice(y.data_mut(), x.data());
+        silu_into(y.data_mut(), x.data(), None);
         y
     }
 
@@ -257,7 +295,7 @@ mod tests {
             .chain([0.0, -0.0, 1e-30, -1e-30, 500.0, -500.0])
             .collect();
         let mut out = vec![0.0f32; src.len()];
-        silu_slice(&mut out, &src);
+        silu_into(&mut out, &src, None);
         let mut worst = 0.0f32;
         for (&x, &y) in src.iter().zip(&out) {
             let reference = x * sigmoid(x);
@@ -270,7 +308,7 @@ mod tests {
         for offset in [0usize, 1, 3, 7] {
             let sub = &src[offset..];
             let mut sub_out = vec![0.0f32; sub.len()];
-            silu_slice(&mut sub_out, sub);
+            silu_into(&mut sub_out, sub, None);
             assert_eq!(
                 &sub_out[..],
                 &out[offset..],

@@ -542,6 +542,13 @@ impl Kernel {
         self.0 != Isa::Portable
     }
 
+    /// Whether this is the AVX-512F kernel. Only [`Kernel::detect`] and
+    /// `Kernel::supported` build one, after checking the CPU, so a
+    /// caller seeing `true` may run AVX-512F code.
+    pub(crate) fn avx512(self) -> bool {
+        self.0 == Isa::Avx512
+    }
+
     /// Rows per register tile: the A panel height.
     pub(crate) fn mr(self) -> usize {
         match self.0 {

@@ -26,19 +26,22 @@ fn avgpool_into(x: &Tensor, y: &mut Tensor) {
     }
 }
 
-/// 2× nearest-neighbour upsampling of `x` into `y`.
+/// 2× nearest-neighbour upsampling of `x` into the first `x.c()`
+/// channels of `y`, by rows: each source row is widened into an even
+/// output row, which is then copied to the odd row below it.
 fn upsample_into(x: &Tensor, y: &mut Tensor) {
-    let [n, c, h, _w] = x.shape();
-    let w = x.w();
-    let (oh, ow) = (h * 2, w * 2);
+    let [n, c, h, w] = x.shape();
+    let ow = 2 * w;
     for b in 0..n {
         for ci in 0..c {
             let src = x.plane(b, ci);
             let dst = y.plane_mut(b, ci);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    dst[oy * ow + ox] = src[(oy / 2) * w + ox / 2];
+            for r in 0..h {
+                let (even, odd) = dst[2 * r * ow..(2 * r + 2) * ow].split_at_mut(ow);
+                for (pair, &v) in even.chunks_exact_mut(2).zip(&src[r * w..(r + 1) * w]) {
+                    pair.fill(v);
                 }
+                odd.copy_from_slice(even);
             }
         }
     }
@@ -92,7 +95,7 @@ impl Layer for AvgPool2 {
         let mut gx = Tensor::zeros(shape);
         for b in 0..n {
             for ci in 0..c {
-                let src = grad.plane(b, ci).to_vec();
+                let src = grad.plane(b, ci);
                 let dst = gx.plane_mut(b, ci);
                 for oy in 0..oh {
                     for ox in 0..ow {
@@ -122,6 +125,30 @@ impl Upsample2 {
     pub fn new() -> Self {
         Upsample2::default()
     }
+
+    /// Inference-only `[upsample(x), skip]` along channels: `x` is
+    /// upsampled straight into the first channels of one tensor drawn
+    /// from `ws`, and `skip`'s planes are copied behind them.
+    ///
+    /// Bit-identical to [`Layer::forward`] followed by
+    /// [`Tensor::concat_channels`] (both are copies).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `skip` is `[n, _, 2h, 2w]` for `x` of `[n, _, h, w]`.
+    pub fn forward_concat_infer(&self, x: &Tensor, skip: &Tensor, ws: &mut Workspace) -> Tensor {
+        let [n, cu, h, w] = x.shape();
+        let [ns, cs, oh, ow] = skip.shape();
+        assert_eq!([ns, oh, ow], [n, 2 * h, 2 * w], "skip shape mismatch");
+        let mut y = Tensor::from_vec([n, cu + cs, oh, ow], ws.take(n * (cu + cs) * oh * ow));
+        upsample_into(x, &mut y);
+        for b in 0..n {
+            for ci in 0..cs {
+                y.plane_mut(b, cu + ci).copy_from_slice(skip.plane(b, ci));
+            }
+        }
+        y
+    }
 }
 
 impl Layer for Upsample2 {
@@ -133,13 +160,6 @@ impl Layer for Upsample2 {
         y
     }
 
-    fn forward_infer(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let [n, c, h, w] = x.shape();
-        let mut y = Tensor::from_vec([n, c, h * 2, w * 2], ws.take(n * c * h * 2 * w * 2));
-        upsample_into(x, &mut y);
-        y
-    }
-
     fn backward(&mut self, grad: Tensor) -> Tensor {
         let shape = self.input_shape.take().expect("backward without forward");
         let [n, c, h, w] = shape;
@@ -147,7 +167,7 @@ impl Layer for Upsample2 {
         let mut gx = Tensor::zeros(shape);
         for b in 0..n {
             for ci in 0..c {
-                let src = grad.plane(b, ci).to_vec();
+                let src = grad.plane(b, ci);
                 let dst = gx.plane_mut(b, ci);
                 for oy in 0..h * 2 {
                     for ox in 0..ow {
@@ -194,6 +214,18 @@ mod tests {
         let y = up.forward(x);
         assert_eq!(y.shape(), [1, 1, 2, 4]);
         assert_eq!(y.data(), &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn upsample_concat_matches_forward_then_concat() {
+        let mut up = Upsample2::new();
+        for (h, w) in [(1usize, 1usize), (2, 3), (8, 8)] {
+            let x = random_tensor([2, 3, h, w], 4);
+            let skip = random_tensor([2, 5, 2 * h, 2 * w], 5);
+            let expected = up.forward(x.clone()).concat_channels(&skip);
+            let mut ws = Workspace::new();
+            assert_eq!(up.forward_concat_infer(&x, &skip, &mut ws), expected);
+        }
     }
 
     #[test]

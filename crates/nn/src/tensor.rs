@@ -213,33 +213,6 @@ impl Tensor {
         out
     }
 
-    /// Channel-concatenates into a preallocated output (allocation-free
-    /// variant of [`Tensor::concat_channels`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out` is `[n, c1 + c2, h, w]` with matching batch
-    /// and spatial dims.
-    pub fn concat_channels_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(self.shape[0], other.shape[0], "batch mismatch");
-        assert_eq!(self.shape[2], other.shape[2], "height mismatch");
-        assert_eq!(self.shape[3], other.shape[3], "width mismatch");
-        let (n, c1, c2) = (self.shape[0], self.shape[1], other.shape[1]);
-        assert_eq!(
-            out.shape,
-            [n, c1 + c2, self.shape[2], self.shape[3]],
-            "output shape mismatch"
-        );
-        for b in 0..n {
-            for c in 0..c1 {
-                out.plane_mut(b, c).copy_from_slice(self.plane(b, c));
-            }
-            for c in 0..c2 {
-                out.plane_mut(b, c1 + c).copy_from_slice(other.plane(b, c));
-            }
-        }
-    }
-
     /// Splits channels `[0, c_split)` and `[c_split, C)` into two tensors
     /// (inverse of [`Tensor::concat_channels`]).
     ///
@@ -299,9 +272,6 @@ mod tests {
         let (a2, b2) = c.split_channels(1);
         assert_eq!(a2, a);
         assert_eq!(b2, b);
-        let mut pre = Tensor::zeros([1, 3, 1, 2]);
-        a.concat_channels_into(&b, &mut pre);
-        assert_eq!(pre, c);
     }
 
     #[test]

@@ -3,12 +3,23 @@
 //!
 //! This runs as its own integration-test process because
 //! `gemm::set_force_naive` is process-global: toggling it here cannot
-//! race the unit tests.
+//! race the unit tests. The tests below run on parallel threads of this
+//! process, so each holds [`NAIVE_SWITCH`] for its whole body.
 
 use pp_nn::gemm;
 use pp_selection::{select_representatives, Pca, PcaSelector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises the tests that toggle `gemm::set_force_naive`.
+static NAIVE_SWITCH: Mutex<()> = Mutex::new(());
+
+fn hold_switch() -> MutexGuard<'static, ()> {
+    // A panic in another test already fails the run; take the guard
+    // anyway so the remaining tests still report.
+    NAIVE_SWITCH.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn random_data(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -22,6 +33,7 @@ fn random_data(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
 /// so every accumulation happens in the same order.
 #[test]
 fn pca_gemm_matches_reference() {
+    let _switch = hold_switch();
     for (n, d, k, seed) in [(30, 6, 6, 0u64), (64, 17, 8, 1), (200, 32, 12, 2)] {
         let data = random_data(n, d, seed);
         let reference = Pca::fit_reference(&data, 0.9, k, seed);
@@ -68,6 +80,7 @@ fn pca_gemm_matches_reference() {
 /// place float rounding could legitimately flip a pick).
 #[test]
 fn selection_gemm_matches_reference_distances() {
+    let _switch = hold_switch();
     let mut rng = StdRng::seed_from_u64(7);
     let clusters: Vec<Vec<f32>> = (0..60)
         .map(|i| {
@@ -90,6 +103,7 @@ fn selection_gemm_matches_reference_distances() {
 /// End-to-end selector determinism across both kernel paths.
 #[test]
 fn selector_deterministic_on_both_paths() {
+    let _switch = hold_switch();
     let library = pp_pdk::SynthNode::default().starter_patterns();
     let selector = PcaSelector::new(0.9, 0.4, 11);
     let fast_a = selector.select(&library, 6);
