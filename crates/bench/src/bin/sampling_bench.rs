@@ -39,6 +39,10 @@
 //!    GF/s), every GroupNorm→SiLU pass and both pools the same way,
 //!    next to a whole `UNet::forward_infer` at that width, so each
 //!    layer's share of a forward is measured rather than assumed.
+//! 4. **replicas** — width-1 jobs through a `Fleet` of N ∈ {1, 2, 4}
+//!    replicas of a tiny engine, each slot admission stalled off-CPU;
+//!    two replicas must reach [`FLEET_N2_FLOOR`] × one replica's
+//!    aggregate samples/s, or the run exits 1 (smoke mode included).
 //!
 //! All modes run the same worker-thread count, so the reported speedup
 //! is purely kernels + batching. Results go to `BENCH_sampling.json` at
@@ -71,6 +75,9 @@ use std::time::Instant;
 const JOBS: usize = 64;
 /// Batch width of the per-layer table: a full micro-batch.
 const LAYER_WIDTH: usize = 16;
+/// The `replicas` gate: two replicas must reach at least this multiple
+/// of one replica's aggregate samples/s, or the run exits 1.
+const FLEET_N2_FLOOR: f64 = 1.7;
 
 struct ModeResult {
     name: &'static str,
@@ -901,9 +908,9 @@ fn main() {
     // kernel throughput. Width-1 jobs on a one-slot table keep the
     // per-job admission count fixed across N. The honest caveat,
     // recorded in PERF.md: the ≥1.7× N=2 ratio below validates the
-    // *router* (distribution, stealing, per-replica queues overlap
-    // independent off-CPU waits); it says nothing about scaling
-    // on-CPU kernels across replicas on one core.
+    // *router* (placement spreads jobs so replicas overlap independent
+    // off-CPU waits); it says nothing about scaling on-CPU kernels
+    // across replicas on one core. Below 1.7× the run fails.
     let fleet_jobs = if smoke { 8usize } else { 32 };
     // ~14ms off-CPU per job vs ~1.5ms on-CPU (tiny model + round
     // tail): the off-CPU share must dominate for replica overlap to
@@ -922,7 +929,6 @@ fn main() {
         replicas: usize,
         seconds: f64,
         samples_per_sec: f64,
-        steals: u64,
     }
     let fleet_once = |n: usize| -> FleetRun {
         let fleet = Fleet::replicate(
@@ -976,7 +982,6 @@ fn main() {
             replicas: n,
             seconds,
             samples_per_sec: fleet_jobs as f64 / seconds,
-            steals: fleet.stats().steals,
         }
     };
     // Interleaved best-of-N with a paired N=2/N=1 ratio, same
@@ -1063,17 +1068,23 @@ fn main() {
     println!();
     for r in &fleet_best {
         println!(
-            "replicas [N={}]: {} jobs in {:.3}s ({:.2} samples/s; {} steals; \
+            "replicas [N={}]: {} jobs in {:.3}s ({:.2} samples/s; \
              {:.0}ms modelled off-CPU stall per job)",
             r.replicas,
             fleet_jobs,
             r.seconds,
             r.samples_per_sec,
-            r.steals,
             fleet_stall.as_secs_f64() * 1e3,
         );
     }
     println!("replicas N=2 vs N=1: {fleet_n2_ratio:.2}x aggregate samples/s");
+    if fleet_n2_ratio < FLEET_N2_FLOOR {
+        eprintln!(
+            "replicas: FAILED — two replicas must overlap off-CPU waits for at least \
+             {FLEET_N2_FLOOR:.1}x one replica's aggregate samples/s"
+        );
+        std::process::exit(1);
+    }
 
     let unet_cfg = UNetConfig {
         image: cfg.model.image,
@@ -1173,7 +1184,6 @@ fn main() {
                 "replicas": r.replicas,
                 "seconds": r.seconds,
                 "samples_per_sec": r.samples_per_sec,
-                "steals": r.steals,
             })).collect::<Vec<_>>(),
             "n2_vs_n1_samples_per_sec": fleet_n2_ratio,
         }),

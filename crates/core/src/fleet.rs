@@ -1,64 +1,68 @@
-//! pp-fleet: engine replicas behind a work-stealing router.
+//! pp-fleet: engine replicas behind a router that places attempts.
 //!
 //! A [`Fleet`] opens N [`Engine`] replicas from one checkpoint and puts
 //! them behind the same declarative front door as [`crate::Service`]:
 //! callers submit [`JobSpec`]s and hold [`crate::JobHandle`]s resolving
-//! to a terminal [`crate::JobOutcome`]. The two front doors are two
-//! dispatchers over one job lifecycle — the same admission counters,
-//! per-attempt sessions, outcome classification, retry backoff and
-//! settlement. What the fleet changes is *where* an attempt runs — and
-//! it promises that does not matter:
+//! to a terminal [`crate::JobOutcome`]. Both front doors dispatch alike,
+//! over one job lifecycle: each admitted job runs on its own thread, and
+//! each attempt submits straight into a replica's scheduler, where the
+//! policy ranks it against every other job on that replica and
+//! continuous batching merges them into one slot table. What the fleet
+//! adds is *where* an attempt runs — and it promises that does not
+//! matter:
 //!
 //! - **Bit-identity.** Every replica is opened from the same artifact
 //!   snapshot and every attempt builds a fresh seeded session, so a job
 //!   produces the same library whichever replica executes it, and a
 //!   fleet of N is bit-identical to a fleet of one for the same specs.
-//! - **Work stealing.** Each replica has a dedicated runner thread and
-//!   a router queue. An idle runner first drains its own queue, then
-//!   steals the *newest* job from the longest peer queue — job
-//!   granularity, never mid-job.
+//! - **Placement per attempt.** An attempt picks its replica when it
+//!   starts: the affinity key's home if it is usable, otherwise a usable
+//!   [`JobSpec::with_placement`] hint, otherwise the usable replica with
+//!   the fewest running jobs (ties go to the lowest index). An attempt
+//!   never splits across replicas.
 //! - **Back-pressure-aware admission.** The router aggregates
 //!   [`SchedulerStats`] across replicas via [`SchedulerStats::merge`]:
 //!   per-class active-job depth caps admission fleet-wide
 //!   ([`FleetOptions::job_limits`]), and best-effort work is shed when
 //!   the merged recent wait p90 crosses
 //!   [`FleetOptions::shed_backpressure_above`]. Rejections are counted
-//!   by cause in [`FleetStats`].
+//!   by cause in [`FleetStats`]. A replica's own bound is its
+//!   scheduler's [`QueueLimits`], as on a service; a job has at most one
+//!   round submitted at a time, so under the default limits (equal to
+//!   the scheduler's) a replica cannot overflow.
 //! - **Session affinity.** A [`JobSpec::with_affinity`] key pins the
-//!   job to the replica holding that session's state. Successful
-//!   affinity jobs persist their session to the replica's local store
-//!   (PPSS + PPSQ, via [`crate::Session::save`]); later jobs with the
-//!   same key resume it there. When the pinned replica is lost or
-//!   [`Fleet::drain`]ed, the next job for the key re-homes it: the
-//!   serialized session artifacts are copied to the new replica
+//!   job to the replica holding that session's state. Jobs sharing a key
+//!   wait in a per-key line and run one after another, in submit order;
+//!   that line is the fleet's only queue. Successful affinity jobs
+//!   persist their session to the replica's local store (PPSS + PPSQ,
+//!   via [`crate::Session::save`]); later jobs with the same key resume
+//!   it there. When the pinned replica is lost or [`Fleet::drain`]ed,
+//!   the next attempt for the key re-homes it: the serialized session
+//!   artifacts are copied to the new replica
 //!   ([`crate::artifact::copy_artifacts`]) before resuming. Affinity
 //!   jobs report the session's *cumulative* totals and library.
-//! - **Failure domains.** [`crate::RetryPolicy`] retries prefer a
-//!   different replica than the one that just failed. A replica whose
-//!   supervised scheduler loses its whole worker pool is retired: its
-//!   queued jobs are redistributed to healthy peers, the in-flight job
-//!   is failed over *without* consuming a retry attempt, and its saved
-//!   sessions migrate lazily on next use. A panic in a stage that runs
-//!   on the runner thread (a custom sampler, validator or denoiser, the
-//!   round tail, selection) settles that job `Failed`, exactly as on a
-//!   service; the runner keeps serving and the replica stays in
-//!   rotation, since its scheduler is unharmed. Hard deadlines and
-//!   cancellation are honoured while a job is still queued (purged at
-//!   the router, including during retry backoff) and while it runs
-//!   (enforced by the replica scheduler).
+//! - **Failure domains.** A [`crate::RetryPolicy`] retry of a job
+//!   without an affinity key skips the replica that just failed it while
+//!   a peer is usable. An attempt whose replica lost its whole worker
+//!   pool retires that replica and runs again on a peer *without*
+//!   consuming a retry attempt (a failover); saved sessions migrate
+//!   lazily on next use. A panic in a stage that runs on the job's
+//!   thread (a custom sampler, validator or denoiser, the round tail,
+//!   selection) settles that job `Failed`, exactly as on a service; the
+//!   replica stays in rotation, since its scheduler is unharmed. Hard
+//!   deadlines and cancellation are honoured while a job waits its turn
+//!   or backs off (re-checked every 5 ms, so such a job settles
+//!   `Cancelled`/`TimedOut` without touching a replica) and while it
+//!   runs (enforced by the replica scheduler).
 //!
-//! Lock order: the router mutex is the outermost lock; the lifecycle's
-//! admission counters and job outcome cells are innermost (admitting,
-//! booking a retry and settling take them under the router lock);
-//! scheduler and store internals are never taken under the router lock
-//! (stats snapshots are taken *before* locking it) and are touched only
-//! by the one runner that owns the job.
+//! Lock order: the router mutex is a leaf. Scheduler snapshots and
+//! admission happen before it is taken, attempts run after it is
+//! released, and nothing else is locked while it is held.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::artifact::{copy_artifacts, validate_key, ArtifactStore, MemStore};
@@ -66,10 +70,10 @@ use crate::engine::{session_keys, Engine, Session};
 use crate::error::PpError;
 use crate::jobspec::{JobKind, JobSpec, QosClass};
 use crate::lifecycle::{
-    shaped_seed, Admission, AdmittedJob, JobHandle, JobOutcome, JobReport, Verdict,
+    shaped_seed, Admission, AdmittedJob, JobHandle, JobOutcome, JobReport, JobThreads, Verdict,
+    WAIT_SLICE,
 };
 use crate::scheduler::{ClassCounts, QueueLimits, Scheduler, SchedulerOptions, SchedulerStats};
-use crate::stream::CancelToken;
 
 /// How a [`Fleet`] is shaped.
 ///
@@ -84,9 +88,10 @@ pub struct FleetOptions {
     /// least 1). A custom [`FleetOptions::scheduler_factory`] does not
     /// override this — thread count and policy are orthogonal.
     pub threads: usize,
-    /// Fleet-wide per-class bound on jobs in flight (queued at the
-    /// router + running), mirroring [`crate::ServiceOptions`]' limits
-    /// but aggregated across all replicas.
+    /// Fleet-wide per-class bound on jobs in flight (waiting their
+    /// turn, backing off or running), mirroring
+    /// [`crate::ServiceOptions`]' limits but aggregated across all
+    /// replicas.
     pub job_limits: QueueLimits,
     /// When set, best-effort submissions are shed while the merged
     /// recent wait p90 across healthy replicas exceeds this threshold.
@@ -190,55 +195,46 @@ impl Replica {
     }
 }
 
-/// One queued unit of work: the admitted job plus its routing state.
-struct FleetJob {
-    job: AdmittedJob,
-    affinity: Option<String>,
-    /// Replica that just failed this job transiently; requeueing
-    /// prefers any other usable replica.
-    excluded: Option<usize>,
-    /// Replica whose store still holds this affinity session's last
-    /// saved state, set at pick time when the job re-homes. The runner
-    /// copies the artifacts over before resuming.
-    migrate_from: Option<usize>,
-}
-
 /// Routing counters; the job counters live in [`Admission`].
 #[derive(Default)]
 struct FleetCounters {
-    steals: u64,
     affinity_hits: u64,
     affinity_misses: u64,
     migrations: u64,
     failovers: u64,
-    redistributed: u64,
 }
 
 struct RouterState {
-    /// One FIFO queue per replica; stealing pops from the back.
-    queues: Vec<VecDeque<FleetJob>>,
-    /// Cancel token of the job each runner is currently executing, so
-    /// `Drop` can interrupt in-flight work.
-    running: Vec<Option<CancelToken>>,
+    /// Per replica, the jobs whose current attempt runs there: the load
+    /// placement balances.
+    running: Vec<usize>,
     /// Affinity key → replica currently owning that session.
     homes: BTreeMap<String, usize>,
+    /// Affinity key → ids of the jobs holding it, in submit order: the
+    /// front job runs, the rest wait their turn. An emptied line goes.
+    lines: BTreeMap<String, VecDeque<u64>>,
     counters: FleetCounters,
-    shutdown: bool,
 }
 
 struct FleetShared {
     router: Mutex<RouterState>,
-    cv: Condvar,
+    /// Signalled whenever a job leaves a per-key line.
+    turn: Condvar,
     replicas: Vec<Replica>,
     admission: Arc<Admission>,
     backpressure: Option<Duration>,
 }
 
-/// N engine replicas behind a work-stealing, affinity-aware router.
-/// See the [module docs](self) for the guarantees.
+/// N engine replicas behind an affinity-aware router that places each
+/// attempt. See the [module docs](self) for the guarantees.
+///
+/// Dropping the fleet cancels outstanding jobs and joins their threads,
+/// as dropping a [`crate::Service`] does, then shuts the replicas down.
 pub struct Fleet {
+    /// First, so it drops (cancelling and joining the jobs) before the
+    /// replica schedulers they run on.
+    jobs: JobThreads,
     shared: Arc<FleetShared>,
-    runners: Vec<JoinHandle<()>>,
 }
 
 /// Per-replica slice of a [`FleetStats`] snapshot.
@@ -249,8 +245,8 @@ pub struct ReplicaStats {
     /// Whether the replica is accepting work (not retired, supervised
     /// worker pool alive).
     pub healthy: bool,
-    /// Jobs waiting in this replica's router queue.
-    pub queued: usize,
+    /// Jobs whose current attempt runs on this replica.
+    pub running: usize,
     /// The replica scheduler's own counters.
     pub scheduler: SchedulerStats,
 }
@@ -264,8 +260,6 @@ pub struct FleetStats {
     /// [`SchedulerStats::merge`] over every replica — counters summed,
     /// wait percentiles recomputed from the combined recent windows.
     pub aggregated: SchedulerStats,
-    /// Jobs an idle runner pulled from a peer's queue.
-    pub steals: u64,
     /// Affinity jobs that resumed their session on its pinned replica.
     pub affinity_hits: u64,
     /// Affinity jobs that had to re-home because the pinned replica was
@@ -279,11 +273,9 @@ pub struct FleetStats {
     pub rejected_depth: u64,
     /// Best-effort submissions shed by the back-pressure threshold.
     pub rejected_backpressure: u64,
-    /// In-flight jobs requeued after their replica was lost (no retry
-    /// attempt consumed).
+    /// Attempts that ran again on a peer because their replica lost its
+    /// worker pool (no retry attempt consumed).
     pub failovers: u64,
-    /// Queued jobs redistributed off a lost or drained replica.
-    pub redistributed: u64,
     /// Transient-failure retries across all jobs.
     pub retries: u64,
     /// Jobs admitted and not yet terminal, per class.
@@ -295,8 +287,9 @@ pub struct FleetStats {
 }
 
 /// `unwrap_or_else(into_inner)`: the router must stay usable even if a
-/// runner panicked while holding the lock — wedging every submitter and
-/// waiter on a poisoned mutex would turn one bug into a fleet outage.
+/// job thread panicked while holding the lock — wedging every submitter
+/// and waiter on a poisoned mutex would turn one bug into a fleet
+/// outage.
 fn lock_router(shared: &FleetShared) -> MutexGuard<'_, RouterState> {
     shared.router.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -362,24 +355,20 @@ impl Fleet {
             .collect();
         let shared = Arc::new(FleetShared {
             router: Mutex::new(RouterState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                running: (0..n).map(|_| None).collect(),
+                running: vec![0; n],
                 homes: BTreeMap::new(),
+                lines: BTreeMap::new(),
                 counters: FleetCounters::default(),
-                shutdown: false,
             }),
-            cv: Condvar::new(),
+            turn: Condvar::new(),
             replicas,
             admission: Admission::new(options.job_limits, " fleet-wide"),
             backpressure: options.shed_backpressure_above,
         });
-        let runners = (0..n)
-            .map(|r| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || runner(&shared, r))
-            })
-            .collect();
-        Fleet { shared, runners }
+        Fleet {
+            jobs: JobThreads::default(),
+            shared,
+        }
     }
 
     /// Replica count (retired replicas included).
@@ -390,11 +379,11 @@ impl Fleet {
     /// Submits a job; returns immediately with a [`JobHandle`] that
     /// behaves exactly like a [`crate::Service`] handle.
     ///
-    /// Placement: an affinity key pins the job to the replica owning
-    /// that session; otherwise [`JobSpec::with_placement`] hints a
-    /// replica (`hint % replicas`, if usable); otherwise the shortest
-    /// usable queue wins. Idle replicas steal, so a hint is a
-    /// preference, not an assignment.
+    /// The job runs on its own thread. Each attempt picks its replica
+    /// when it starts: the affinity key's home if usable, otherwise a
+    /// usable [`JobSpec::with_placement`] hint (`hint % replicas`),
+    /// otherwise the usable replica with the fewest running jobs. Jobs
+    /// sharing an affinity key run one after another, in submit order.
     ///
     /// # Errors
     ///
@@ -421,9 +410,6 @@ impl Fleet {
                 .map_err(|e| PpError::Config(format!("job spec: affinity key: {e}")))?;
         }
         let seed = shaped_seed(&self.shared.replicas[0].engine, &spec)?;
-        // Aggregate scheduler stats *before* taking the router lock —
-        // snapshots take each scheduler's state lock, and the fleet's
-        // lock order is router-outermost, never router-under-scheduler.
         let shed_reason = match (class, self.shared.backpressure) {
             (QosClass::BestEffort, Some(threshold)) => {
                 let parts: Vec<SchedulerStats> = self
@@ -441,45 +427,25 @@ impl Fleet {
             }
             _ => None,
         };
-
-        let mut router = lock_router(&self.shared);
-        let usable: Vec<usize> = (0..self.shared.replicas.len())
-            .filter(|&i| self.shared.replicas[i].usable())
-            .collect();
-        if usable.is_empty() {
+        if !self.shared.replicas.iter().any(Replica::usable) {
             return Err(PpError::Rejected {
                 reason: "fleet has no usable replicas (all lost or drained)".into(),
             });
         }
         let affinity = spec.affinity.take();
-        let placement = spec.placement;
+        let hint = spec.placement;
         let job = self.shared.admission.admit(spec, seed, shed_reason)?;
         let handle = job.handle();
-        let home = match &affinity {
-            Some(key) => match router.homes.get(key) {
-                Some(&h) if self.shared.replicas[h].usable() => h,
-                Some(_) => {
-                    // Stale home: keep the entry so the picking runner
-                    // sees the old owner and records the migration; the
-                    // queue choice is just a starting point.
-                    placed(&router, &usable, placement)
-                }
-                None => {
-                    let h = placed(&router, &usable, placement);
-                    router.homes.insert(key.clone(), h);
-                    h
-                }
-            },
-            None => placed(&router, &usable, placement),
-        };
-        router.queues[home].push_back(FleetJob {
-            job,
-            affinity,
-            excluded: None,
-            migrate_from: None,
-        });
-        drop(router);
-        self.shared.cv.notify_all();
+        if let Some(key) = &affinity {
+            lock_router(&self.shared)
+                .lines
+                .entry(key.clone())
+                .or_default()
+                .push_back(job.id());
+        }
+        let shared = Arc::clone(&self.shared);
+        self.jobs
+            .spawn(job, move |job| run_job(&shared, job, affinity, hint));
         Ok(handle)
     }
 
@@ -504,19 +470,17 @@ impl Fleet {
                 .map(|(index, scheduler)| ReplicaStats {
                     index,
                     healthy: self.shared.replicas[index].usable(),
-                    queued: router.queues[index].len(),
+                    running: router.running[index],
                     scheduler,
                 })
                 .collect(),
             aggregated,
-            steals: c.steals,
             affinity_hits: c.affinity_hits,
             affinity_misses: c.affinity_misses,
             migrations: c.migrations,
             rejected_depth: jobs.rejected.total(),
             rejected_backpressure: shed,
             failovers: c.failovers,
-            redistributed: c.redistributed,
             retries: jobs.retries,
             active: jobs.active,
             submitted: jobs.submitted,
@@ -524,46 +488,20 @@ impl Fleet {
         }
     }
 
-    /// Voluntarily retires a replica: it stops accepting work, its
-    /// queued jobs are redistributed to usable peers, and sessions
-    /// pinned to it migrate to wherever their next job runs. The job it
-    /// is currently executing (if any) finishes normally. Returns
+    /// Voluntarily retires a replica: no new attempt is placed on it,
+    /// and sessions pinned to it migrate to wherever their next attempt
+    /// runs. Attempts already running there finish normally. Returns
     /// `false` for an out-of-range index.
     ///
-    /// Draining the *last* usable replica fails the jobs queued on it —
-    /// there is nowhere left to move them.
+    /// Once the *last* usable replica is drained, every later attempt
+    /// fails its job — there is nowhere left to run it.
     pub fn drain(&self, replica: usize) -> bool {
-        if replica >= self.shared.replicas.len() {
-            return false;
-        }
-        let mut router = lock_router(&self.shared);
-        retire_replica(&self.shared, &mut router, replica, None);
-        drop(router);
-        self.shared.cv.notify_all();
-        true
-    }
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        {
-            let mut router = lock_router(&self.shared);
-            router.shutdown = true;
-            let queued: Vec<FleetJob> =
-                router.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            for FleetJob { job, .. } in queued {
-                let outcome = JobOutcome::Cancelled(job.empty_report());
-                job.settle(outcome);
+        match self.shared.replicas.get(replica) {
+            Some(rep) => {
+                rep.retired.store(true, Ordering::SeqCst);
+                true
             }
-            for slot in &mut router.running {
-                if let Some(cancel) = slot.take() {
-                    cancel.cancel();
-                }
-            }
-        }
-        self.shared.cv.notify_all();
-        for h in self.runners.drain(..) {
-            let _ = h.join();
+            None => false,
         }
     }
 }
@@ -576,203 +514,142 @@ impl fmt::Debug for Fleet {
     }
 }
 
-/// Shortest-usable-queue placement, honouring a placement hint when the
-/// hinted replica is usable. Ties go to the lowest index, so placement
-/// is deterministic for a deterministic submission order.
-fn placed(router: &RouterState, usable: &[usize], hint: Option<u64>) -> usize {
-    if let Some(p) = hint {
-        let cand = (p as usize) % router.queues.len();
-        if usable.contains(&cand) {
-            return cand;
-        }
-    }
-    usable
-        .iter()
-        .copied()
-        .min_by_key(|&i| router.queues[i].len())
-        .unwrap_or(0)
+/// A job's place in its affinity key's line, held until the job
+/// settles; dropping it leaves the line and wakes the jobs behind.
+struct Turn<'a> {
+    shared: &'a FleetShared,
+    key: &'a str,
+    id: u64,
 }
 
-fn runner(shared: &Arc<FleetShared>, r: usize) {
-    loop {
-        let mut router = lock_router(shared);
-        let mut job = loop {
-            if router.shutdown {
-                return;
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut router = lock_router(self.shared);
+        if let Some(line) = router.lines.get_mut(self.key) {
+            line.retain(|&id| id != self.id);
+            if line.is_empty() {
+                router.lines.remove(self.key);
             }
-            if !shared.replicas[r].usable() {
-                retire_replica(shared, &mut router, r, None);
-                drop(router);
-                shared.cv.notify_all();
-                return;
-            }
-            purge_expired(&mut router, r);
-            if let Some(job) = pop_ready(shared, &mut router, r) {
-                break job;
-            }
-            if let Some(job) = steal(shared, &mut router, r) {
-                router.counters.steals += 1;
-                break job;
-            }
-            // Timed wait: backoff expiry, queued-job hard deadlines,
-            // and peer-loss detection all need periodic wakeups even
-            // when nobody submits.
-            let (guard, _) = shared
-                .cv
-                .wait_timeout(router, Duration::from_millis(10))
-                .unwrap_or_else(PoisonError::into_inner);
-            router = guard;
-        };
-        // Re-home an affinity job whose pinned replica is gone, while
-        // the router lock still serialises same-key decisions.
-        if let Some(key) = &job.affinity {
-            let previous = router.homes.insert(key.clone(), r);
-            job.migrate_from = previous.filter(|&h| h != r);
         }
-        router.running[r] = Some(job.job.cancel_token());
         drop(router);
+        self.shared.turn.notify_all();
+    }
+}
 
-        // The attempt runs without the router lock: the job is owned by
-        // this runner, and the only cross-replica state it touches is
-        // the (internally synchronised) store named by `migrate_from`,
-        // whose owner is already retired.
+/// A job's thread: wait for the job's turn behind its affinity key,
+/// then drive it to the end, placing every attempt.
+fn run_job(shared: &FleetShared, job: AdmittedJob, affinity: Option<String>, hint: Option<u64>) {
+    let key = affinity.as_deref();
+    let _turn = key.map(|key| Turn {
+        shared,
+        key,
+        id: job.id(),
+    });
+    if let Some(key) = key {
+        if let Some(outcome) = wait_turn(shared, &job, key) {
+            return job.settle(outcome);
+        }
+    }
+    let mut failed_on = None;
+    job.run_to_end(|job| place_attempt(shared, job, key, hint, &mut failed_on));
+}
+
+/// Blocks until `job` heads its key's line, re-checking its cancel
+/// token and hard deadline every [`WAIT_SLICE`]; returns the outcome
+/// when either ends the wait first.
+fn wait_turn(shared: &FleetShared, job: &AdmittedJob, key: &str) -> Option<JobOutcome> {
+    let mut router = lock_router(shared);
+    loop {
+        if let Some(outcome) = job.interruption() {
+            return Some(outcome);
+        }
+        if router.lines.get(key).and_then(VecDeque::front) == Some(&job.id()) {
+            return None;
+        }
+        router = shared
+            .turn
+            .wait_timeout(router, WAIT_SLICE)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+}
+
+/// Runs `job`'s next attempt on the replica [`place`] picks. An attempt
+/// whose replica lost its worker pool retires that replica and runs
+/// again on a peer without consuming an attempt (a failover); `Lost`
+/// means no replica is left. `failed_on` carries the replica that last
+/// failed the job from one attempt to the next.
+fn place_attempt(
+    shared: &FleetShared,
+    job: &mut AdmittedJob,
+    affinity: Option<&str>,
+    hint: Option<u64>,
+    failed_on: &mut Option<usize>,
+) -> Verdict {
+    loop {
+        let (r, migrate_from) = match place(shared, affinity, hint, *failed_on) {
+            Some(placed) => placed,
+            None => return Verdict::Lost(PpError::Model("fleet lost all replicas".into())),
+        };
         let rep = &shared.replicas[r];
-        let FleetJob {
-            job: admitted,
-            affinity,
-            migrate_from,
-            ..
-        } = &mut job;
-        let verdict = admitted.attempt(
+        let verdict = job.attempt(
             || rep.scheduler.is_healthy(),
-            |admitted| match affinity {
-                Some(key) => run_affinity_attempt(shared, r, admitted, key, *migrate_from),
-                None => admitted.run_fresh(&rep.engine, rep.scheduler.handle()),
+            |job| match affinity {
+                Some(key) => run_affinity_attempt(shared, r, job, key, migrate_from),
+                None => job.run_fresh(&rep.engine, rep.scheduler.handle()),
             },
         );
-
-        let mut router = lock_router(shared);
-        router.running[r] = None;
-        match verdict {
-            Verdict::Done(outcome) => job.job.settle(*outcome),
-            Verdict::Retry => {
-                job.job.book_retry();
-                job.excluded = Some(r);
-                job.migrate_from = None;
-                requeue(shared, &mut router, job);
-            }
-            // The retired runner exits at the top of its loop.
-            Verdict::Lost(_) => retire_replica(shared, &mut router, r, Some(job)),
+        let lost = matches!(verdict, Verdict::Lost(_));
+        end_attempt(shared, r, lost);
+        if !matches!(verdict, Verdict::Done(_)) {
+            *failed_on = Some(r);
         }
-        drop(router);
-        shared.cv.notify_all();
-    }
-}
-
-/// Settles queued jobs that are already cancelled or past a hard
-/// deadline (the lifecycle's interruption rule), without wasting a
-/// replica slot on them.
-fn purge_expired(router: &mut RouterState, r: usize) {
-    let mut i = 0;
-    while i < router.queues[r].len() {
-        match router.queues[r][i].job.interruption() {
-            Some(outcome) => {
-                if let Some(FleetJob { job, .. }) = router.queues[r].remove(i) {
-                    job.settle(outcome);
-                }
-            }
-            None => i += 1,
+        if !lost {
+            return verdict;
         }
     }
 }
 
-/// Whether runner `r` may execute `job` right now: backoff elapsed,
-/// the job is not pinned to a *different, usable* replica, and the
-/// replica that just failed it transiently does not take it back while
-/// a peer could run it instead (otherwise, on a loaded machine, the
-/// failing runner tends to win the re-pick race and "failover" never
-/// actually changes replicas).
-fn eligible(shared: &FleetShared, router: &RouterState, r: usize, job: &FleetJob) -> bool {
-    if job.job.backing_off() {
-        return false;
-    }
-    if let Some(key) = &job.affinity {
-        // Pinned jobs run where their session lives; the exclusion
-        // rule below never applies to them — retrying elsewhere would
-        // abandon the saved state.
-        return match router.homes.get(key) {
-            Some(&h) => h == r || !shared.replicas[h].usable(),
-            None => true,
-        };
-    }
-    if job.excluded == Some(r)
-        && (0..shared.replicas.len()).any(|i| i != r && shared.replicas[i].usable())
-    {
-        return false;
-    }
-    true
-}
-
-/// Oldest eligible job from the runner's own queue.
-fn pop_ready(shared: &FleetShared, router: &mut RouterState, r: usize) -> Option<FleetJob> {
-    let idx =
-        (0..router.queues[r].len()).find(|&i| eligible(shared, router, r, &router.queues[r][i]))?;
-    router.queues[r].remove(idx)
-}
-
-/// Newest eligible job from the longest peer queue — newest because the
-/// oldest entries are what the loaded peer will reach next itself, so
-/// stealing from the back minimises double-handling.
-fn steal(shared: &FleetShared, router: &mut RouterState, r: usize) -> Option<FleetJob> {
-    let victim = (0..router.queues.len())
-        .filter(|&p| p != r && !router.queues[p].is_empty())
-        .max_by_key(|&p| router.queues[p].len())?;
-    let idx = (0..router.queues[victim].len())
-        .rev()
-        .find(|&i| eligible(shared, router, r, &router.queues[victim][i]))?;
-    router.queues[victim].remove(idx)
-}
-
-/// Requeues a job on the shortest usable queue, preferring any replica
-/// other than `job.excluded`; falls back to the excluded replica when
-/// it is the only one left, and fails the job when none are usable.
-fn requeue(shared: &FleetShared, router: &mut RouterState, job: FleetJob) {
-    let shortest = |skip: Option<usize>| {
-        (0..shared.replicas.len())
-            .filter(|&i| shared.replicas[i].usable() && Some(i) != skip)
-            .min_by_key(|&i| router.queues[i].len())
-    };
-    match shortest(job.excluded).or_else(|| shortest(None)) {
-        Some(target) => router.queues[target].push_back(job),
-        None => job.job.settle(JobOutcome::Failed(PpError::Model(
-            "fleet lost all replicas".into(),
-        ))),
-    }
-}
-
-/// Retires replica `r`: marks it unusable, redistributes its queue to
-/// usable peers, and fails over the in-flight job (when its runner
-/// handed one in) without consuming a retry attempt. Sessions pinned to
-/// the replica stay mapped to it and migrate lazily — the serialized
-/// state lives in the replica's store, which outlives its scheduler.
-fn retire_replica(
+/// Picks the replica for a job's next attempt and counts the attempt
+/// running there: the affinity key's home if it is usable, otherwise a
+/// usable placement hint, otherwise the usable replica with the fewest
+/// running jobs (ties go to the lowest index). A job without an
+/// affinity key skips `failed_on`, the replica that just failed it,
+/// while a peer is usable. A keyed job that re-homes records its new
+/// home and gets back the old one, whose store holds the session state
+/// to migrate. `None` when no replica is usable.
+fn place(
     shared: &FleetShared,
-    router: &mut RouterState,
-    r: usize,
-    inflight: Option<FleetJob>,
-) {
-    shared.replicas[r].retired.store(true, Ordering::SeqCst);
-    router.running[r] = None;
-    let drained: Vec<FleetJob> = router.queues[r].drain(..).collect();
-    if let Some(mut job) = inflight {
-        router.counters.failovers += 1;
-        job.excluded = Some(r);
-        job.migrate_from = None;
-        requeue(shared, router, job);
+    affinity: Option<&str>,
+    hint: Option<u64>,
+    failed_on: Option<usize>,
+) -> Option<(usize, Option<usize>)> {
+    let mut router = lock_router(shared);
+    let n = shared.replicas.len();
+    let usable = |i: &usize| shared.replicas[*i].usable();
+    let home = affinity.and_then(|key| router.homes.get(key).copied());
+    let skip = failed_on.filter(|&f| affinity.is_none() && (0..n).any(|i| i != f && usable(&i)));
+    let open = |i: &usize| usable(i) && Some(*i) != skip;
+    let r = home
+        .filter(usable)
+        .or_else(|| hint.map(|h| (h % n as u64) as usize).filter(open))
+        .or_else(|| (0..n).filter(open).min_by_key(|&i| router.running[i]))?;
+    if let Some(key) = affinity {
+        router.homes.insert(key.to_string(), r);
     }
-    for job in drained {
-        router.counters.redistributed += 1;
-        requeue(shared, router, job);
+    router.running[r] += 1;
+    Some((r, home.filter(|&h| h != r)))
+}
+
+/// Ends an attempt on replica `r`. When the attempt found the replica's
+/// worker pool gone, the replica retires and the attempt counts as a
+/// failover.
+fn end_attempt(shared: &FleetShared, r: usize, lost: bool) {
+    let mut router = lock_router(shared);
+    router.running[r] -= 1;
+    if lost {
+        shared.replicas[r].retired.store(true, Ordering::SeqCst);
+        router.counters.failovers += 1;
     }
 }
 

@@ -235,17 +235,19 @@ pub struct JobSpec {
     /// architecture must stay the engine's).
     pub config: Option<PipelineConfig>,
     /// Session-affinity key for fleet routing: jobs sharing a key pin
-    /// to the replica holding that session's library state, and
-    /// successive [`JobKind::Iterative`] jobs *continue* the named
-    /// session (via PPSQ save/resume) instead of starting fresh.
+    /// to the replica holding that session's library state and run one
+    /// after another, in submit order, and successive
+    /// [`JobKind::Iterative`] jobs *continue* the named session (via
+    /// PPSQ save/resume) instead of starting fresh.
     /// Ignored by a single [`crate::Service`]. Keys are bounded at
     /// [`JobSpec::MAX_AFFINITY`] bytes and restricted to
     /// `[A-Za-z0-9._-]` (they become artifact-store keys).
     pub affinity: Option<String>,
-    /// Placement hint for fleet routing: a stateless job lands on
-    /// replica `hint % replicas` when that replica is healthy. Purely
-    /// advisory — load balancing and failover override it; ignored by
-    /// a single [`crate::Service`].
+    /// Placement hint for fleet routing: each attempt of a stateless
+    /// job lands on replica `hint % replicas` when that replica is
+    /// healthy. Purely advisory — a retry skips the replica that just
+    /// failed it, and a lost replica is never used; ignored by a single
+    /// [`crate::Service`].
     pub placement: Option<u64>,
 }
 

@@ -74,23 +74,24 @@
 //! deterministic fault injection ([`fault`],
 //! `tests/chaos_scheduler.rs`).
 //!
-//! **One job lifecycle, two dispatchers.** Every admitted job, on
+//! **One job lifecycle, one dispatcher shape.** Every admitted job, on
 //! either front door, goes through the same lifecycle: per-class
-//! admission counted once, a fresh seeded session per attempt, one
-//! classification of each attempt, [`RetryPolicy`] retries of transient
-//! failures with bounded backoff, hard deadlines resolving to
-//! [`JobOutcome::TimedOut`] with partial results, and settlement exactly
-//! once — a panic in a stage on the dispatching thread settles the job
-//! `Failed` instead of losing it. [`Service`] dispatches each job on its
-//! own thread over one scheduler. [`Fleet`] dispatches the same jobs
-//! across N engine replicas opened from one checkpoint: a work-stealing
-//! router places jobs at job granularity, admission is
-//! back-pressure-aware on aggregated [`SchedulerStats`],
-//! session-affinity keys pin iterative work to the replica holding its
-//! state (with explicit PPSQ migration when that replica is lost or
-//! drained), and per-job results stay bit-identical to a single
-//! replica. [`Fleet::stats`] exposes per-replica and merged counters
-//! ([`FleetStats`]).
+//! admission counted once, its own thread, a fresh seeded session per
+//! attempt, one classification of each attempt, [`RetryPolicy`]
+//! retries of transient failures with bounded backoff, hard deadlines
+//! resolving to [`JobOutcome::TimedOut`] with partial results, and
+//! settlement exactly once — a panic in a stage on the job's thread
+//! settles the job `Failed` instead of losing it. Every attempt submits
+//! straight into a scheduler, whose policy ranks it against every other
+//! job there. [`Service`] runs every attempt on its one scheduler.
+//! [`Fleet`] places each attempt on one of N engine replicas opened from
+//! one checkpoint: admission is back-pressure-aware on aggregated
+//! [`SchedulerStats`], session-affinity keys pin iterative work to the
+//! replica holding its state and run same-key jobs in submit order
+//! (with explicit PPSQ migration when that replica is lost or drained),
+//! an attempt on a lost replica fails over to a peer, and per-job
+//! results stay bit-identical to a single replica. [`Fleet::stats`]
+//! exposes per-replica and merged counters ([`FleetStats`]).
 //!
 //! **Training.** Fine-tuning is a job too: [`JobSpec::train`] runs a
 //! [`TrainSpec`] (dataset synthesis from the PDK + saved session

@@ -1,9 +1,12 @@
-//! One job lifecycle, two dispatchers.
+//! One job lifecycle, one dispatcher shape.
 //!
-//! [`crate::Service`] and [`crate::Fleet`] only decide *where* an
-//! attempt runs: the service on one thread per admitted job, the fleet
-//! on replica runners with queues, stealing and failover. Everything
-//! else a job goes through is decided here, once:
+//! [`crate::Service`] and [`crate::Fleet`] dispatch alike: each admitted
+//! job gets its own thread ([`JobThreads`]), which drives it through
+//! [`AdmittedJob::run_to_end`], and each attempt submits straight into
+//! a scheduler, where the policy ranks it against every other job
+//! there. The front doors differ only in *where* an attempt runs: the
+//! service has one scheduler, the fleet picks a replica per attempt.
+//! Everything else a job goes through is decided here, once:
 //!
 //! - **Admission.** [`Admission`] takes (or refuses) a per-class slot
 //!   and keeps the job-level counters behind [`crate::ServiceStats`] and
@@ -15,22 +18,24 @@
 //!   is left of the deadline) and a fresh session over the job's seed,
 //!   so a retried run is bit-identical to one that never faulted. It
 //!   runs under `catch_unwind`: a panic in a stage that runs on the
-//!   dispatching thread (a custom sampler, validator or denoiser, the
-//!   round tail, selection) fails the job, not the thread.
+//!   job's thread (a custom sampler, validator or denoiser, the round
+//!   tail, selection) fails the job, not the thread.
 //! - **One verdict.** [`AdmittedJob::attempt`] classifies every attempt
 //!   as done (with its terminal outcome), retry (a transient error with
 //!   attempts left) or lost (the scheduler's worker pool is gone: the
-//!   fleet fails over without consuming an attempt, the service has
-//!   nowhere to go and fails the job).
-//! - **Retries.** A retry is counted when it is booked; the attempt
-//!   number advances when the next attempt starts, so
-//!   [`JobReport::attempts`] counts only attempts that ran.
+//!   fleet fails over to a peer without consuming an attempt, and a
+//!   front door with nowhere left to go fails the job).
+//! - **Retries.** A retry is counted when it is booked; the job's
+//!   thread sleeps out its backoff, and the attempt number advances
+//!   when the next attempt starts, so [`JobReport::attempts`] counts
+//!   only attempts that ran.
 //! - **Interruption.** A cancel, or a passed hard deadline, before an
-//!   attempt starts (during retry backoff, or while queued at a fleet
-//!   router) ends the job `Cancelled`/`TimedOut` with an empty report.
+//!   attempt starts (during retry backoff, or while a fleet job waits
+//!   its turn behind an earlier job with the same affinity key) ends
+//!   the job `Cancelled`/`TimedOut` with an empty report.
 //! - **Settlement.** An admitted job settles exactly once: settling
 //!   consumes the record, and a record dropped unsettled (a panic
-//!   unwound through its dispatcher) settles `Failed`, so the admission
+//!   unwound through its thread) settles `Failed`, so the admission
 //!   slot frees and [`JobHandle::wait`] returns.
 
 use crate::config::PipelineConfig;
@@ -47,7 +52,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The longest a job waits between attempts (retry backoff, a fleet
+/// job's turn behind its affinity key) before it re-checks its cancel
+/// token and hard deadline.
+pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// Per-class admission of whole jobs, and the job-level counters both
 /// front doors report.
@@ -72,7 +83,7 @@ struct Counters {
 
 /// Locks the counters, recovering from poisoning: the bookkeeping stays
 /// coherent at any interleaving point, and stats must keep answering
-/// after a dispatcher panicked.
+/// after a job thread panicked.
 fn lock_counters(admission: &Admission) -> MutexGuard<'_, Counters> {
     admission
         .counters
@@ -181,9 +192,8 @@ pub(crate) enum Verdict {
 }
 
 /// An admitted job: its spec, deadline, attempt number and admission
-/// slot. Dropping it unsettled (a panic unwinding through its
-/// dispatcher, a fleet torn down with the job still queued) settles it
-/// `Failed`: the settle guard.
+/// slot. Dropping it unsettled (a panic unwinding through its thread)
+/// settles it `Failed`: the settle guard.
 pub(crate) struct AdmittedJob {
     state: Arc<JobState>,
     admission: Arc<Admission>,
@@ -208,6 +218,11 @@ impl AdmittedJob {
         JobHandle {
             state: Arc::clone(&self.state),
         }
+    }
+
+    /// The job id (see [`JobHandle::id`]).
+    pub(crate) fn id(&self) -> u64 {
+        self.state.id
     }
 
     /// The job's cancellation token.
@@ -264,11 +279,6 @@ impl AdmittedJob {
         } else {
             None
         }
-    }
-
-    /// Whether a booked retry's backoff still holds the job back.
-    pub(crate) fn backing_off(&self) -> bool {
-        self.not_before.is_some_and(|t| Instant::now() < t)
     }
 
     /// Shapes one attempt's session: the job's config override, this
@@ -378,19 +388,16 @@ impl AdmittedJob {
     }
 
     /// Drives the job to its terminal outcome on the calling thread (the
-    /// service's dispatcher): attempt, retry after backoff, settle. A
-    /// lost worker pool fails the job: there is no replica to fail over
-    /// to.
-    pub(crate) fn run_to_end(
-        mut self,
-        healthy: impl Fn() -> bool,
-        mut run: impl FnMut(&AdmittedJob) -> (Result<(), PpError>, JobReport),
-    ) {
+    /// job's own): sleep out any booked backoff, run the next attempt
+    /// through `attempt`, book a retry or settle. `attempt` decides
+    /// where the attempt runs; its `Lost` means no scheduler is left,
+    /// and the job fails.
+    pub(crate) fn run_to_end(mut self, mut attempt: impl FnMut(&mut AdmittedJob) -> Verdict) {
         let outcome = loop {
             if let Some(outcome) = self.wait_backoff() {
                 break outcome;
             }
-            match self.attempt(&healthy, &mut run) {
+            match attempt(&mut self) {
                 Verdict::Done(outcome) => break *outcome,
                 Verdict::Retry => self.book_retry(),
                 Verdict::Lost(e) => break JobOutcome::Failed(e),
@@ -399,8 +406,8 @@ impl AdmittedJob {
         self.settle(outcome);
     }
 
-    /// Sleeps out a booked retry's backoff in 5 ms slices, so a cancel
-    /// or a passing hard deadline interrupts the wait instead of
+    /// Sleeps out a booked retry's backoff in [`WAIT_SLICE`]s, so a
+    /// cancel or a passing hard deadline interrupts the wait instead of
     /// stacking on top of it; returns the interrupted outcome.
     fn wait_backoff(&self) -> Option<JobOutcome> {
         let until = self.not_before?;
@@ -412,7 +419,7 @@ impl AdmittedJob {
             if left.is_zero() {
                 return None;
             }
-            std::thread::sleep(left.min(Duration::from_millis(5)));
+            std::thread::sleep(left.min(WAIT_SLICE));
         }
     }
 
@@ -439,6 +446,42 @@ impl Drop for AdmittedJob {
             self.finish(JobOutcome::Failed(PpError::Model(
                 "job dropped before reaching a terminal outcome".into(),
             )));
+        }
+    }
+}
+
+/// The job threads of one front door, one per admitted job. Starting
+/// a thread reaps the finished ones, so a long-lived front door holds
+/// one entry per job still running. Dropping the set cancels those jobs
+/// and joins their threads: declare it as the front door's first field,
+/// so it drops before the schedulers the jobs run on.
+#[derive(Default)]
+pub(crate) struct JobThreads {
+    threads: Mutex<Vec<(CancelToken, JoinHandle<()>)>>,
+}
+
+impl JobThreads {
+    /// Runs `drive` on a new thread that owns `job`.
+    pub(crate) fn spawn(&self, job: AdmittedJob, drive: impl FnOnce(AdmittedJob) + Send + 'static) {
+        let cancel = job.cancel_token();
+        let thread = std::thread::spawn(move || drive(job));
+        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        threads.retain(|(_, thread)| !thread.is_finished());
+        threads.push((cancel, thread));
+    }
+}
+
+impl Drop for JobThreads {
+    fn drop(&mut self) {
+        let threads = self
+            .threads
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (cancel, _) in threads.iter() {
+            cancel.cancel();
+        }
+        for (_, thread) in threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -553,7 +596,9 @@ fn lock_outcome(state: &JobState) -> MutexGuard<'_, Option<JobOutcome>> {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Admitted; rounds are running (or queued at the scheduler).
+    /// Admitted and not yet terminal: running (or queued at a
+    /// scheduler), backing off before a retry, or waiting its turn
+    /// behind an earlier fleet job with the same affinity key.
     Running,
     /// A terminal [`JobOutcome`] is ready ([`JobHandle::wait`] returns
     /// it without blocking).
@@ -617,27 +662,27 @@ impl JobHandle {
 
     /// Blocks until the job reaches its terminal outcome and returns
     /// it.
-    pub fn wait(mut self) -> JobOutcome {
-        loop {
-            match self.wait_timeout(Duration::from_secs(3600)) {
-                Ok(outcome) => return outcome,
-                Err(handle) => self = handle,
-            }
-        }
+    pub fn wait(self) -> JobOutcome {
+        // A timeout of `Duration::MAX` never expires.
+        self.wait_timeout(Duration::MAX)
+            .unwrap_or_else(JobHandle::wait)
     }
 
     /// Blocks for at most `timeout` for the terminal outcome. On
     /// timeout the handle comes back unchanged (`Err`), so a caller
     /// can bound every wait on a possibly-wedged job without
-    /// forfeiting the ability to poll, cancel, or wait again.
+    /// forfeiting the ability to poll, cancel, or wait again. A timeout
+    /// too long to represent as an instant waits with no deadline.
     pub fn wait_timeout(self, timeout: Duration) -> Result<JobOutcome, JobHandle> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut outcome = lock_outcome(&self.state);
         loop {
             if let Some(terminal) = outcome.take() {
                 return Ok(terminal);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
             if left.is_zero() {
                 drop(outcome);
                 return Err(self);

@@ -1460,42 +1460,11 @@ impl Scheduler {
     /// Whether the worker pool can still serve: `false` once every
     /// worker thread has exhausted its respawn budget (the pool is
     /// wedged and [`SchedulerHandle`] submissions are being refused).
-    /// The fleet router polls this to decide when a replica must be
-    /// retired and its queue redistributed.
+    /// A fleet places no attempt on a replica whose pool is gone, and
+    /// retires the replica when an attempt running there fails with it.
     pub fn is_healthy(&self) -> bool {
         self.shared.workers_alive.load(Ordering::SeqCst) > 0
     }
-
-    /// Stops admission and aborts still-queued submissions with a
-    /// typed error (their terminal timestamps still land in
-    /// [`SchedulerStats::turnaround_micros`]). Workers finish their
-    /// in-flight slot tables and exit; `Drop` performs the same drain
-    /// before joining them, so calling this explicitly is only needed
-    /// to quiesce a pool *before* letting it go out of scope — e.g. a
-    /// fleet draining one replica while others keep serving.
-    pub fn drain(&self) {
-        drain_shared(&self.shared);
-    }
-}
-
-/// The shutdown half of `Drop`, shared with [`Scheduler::drain`]:
-/// flags shutdown, aborts the queue (stamping turnarounds — handles
-/// may outlive the scheduler and read stats) and wakes every worker.
-fn drain_shared(shared: &Shared) {
-    {
-        let mut st = lock_state(shared);
-        st.shutdown = true;
-        // Still-queued submissions must not end as silently short
-        // streams: abort them explicitly.
-        let drained: Vec<Submission> = st.queue.drain(..).collect();
-        for sub in drained {
-            st.stats.turnaround_micros += sub.submitted_at.elapsed().as_micros() as u64;
-            let _ = sub.tx.send(SchedMsg::Aborted(PpError::Model(
-                "scheduler shut down mid-request".into(),
-            )));
-        }
-    }
-    shared.cv.notify_all();
 }
 
 fn snapshot(shared: &Shared) -> SchedulerStats {
@@ -1550,8 +1519,25 @@ fn snapshot(shared: &Shared) -> SchedulerStats {
 }
 
 impl Drop for Scheduler {
+    /// Flags shutdown, aborts still-queued submissions with a typed
+    /// error (stamping their turnarounds: handles may outlive the
+    /// scheduler and read stats), lets the workers finish their
+    /// in-flight slot tables, and joins them.
     fn drop(&mut self) {
-        drain_shared(&self.shared);
+        {
+            let mut st = lock_state(&self.shared);
+            st.shutdown = true;
+            // Still-queued submissions must not end as silently short
+            // streams: abort them explicitly.
+            let drained: Vec<Submission> = st.queue.drain(..).collect();
+            for sub in drained {
+                st.stats.turnaround_micros += sub.submitted_at.elapsed().as_micros() as u64;
+                let _ = sub.tx.send(SchedMsg::Aborted(PpError::Model(
+                    "scheduler shut down mid-request".into(),
+                )));
+            }
+        }
+        self.shared.cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -1601,17 +1587,21 @@ impl SchedulerHandle {
                 }
             }
         }
-        if self.shared.workers_alive.load(Ordering::SeqCst) == 0 {
-            return Err(PpError::Model(
-                "scheduler worker pool lost all workers".into(),
-            ));
-        }
         let total = jobs.len();
         let (tx, rx) = mpsc::channel();
         {
             let mut st = lock_state(&self.shared);
             if st.shutdown {
                 return Err(PpError::Model("scheduler is shut down".into()));
+            }
+            // Checked under the state lock, which the last dying worker
+            // takes to abort the queue: a submission either lands before
+            // that abort (and is aborted with the rest) or is refused
+            // here, never orphaned in a queue nobody serves.
+            if self.shared.workers_alive.load(Ordering::SeqCst) == 0 {
+                return Err(PpError::Model(
+                    "scheduler worker pool lost all workers".into(),
+                ));
             }
             let depth = st.queue.iter().filter(|s| s.class == class).count();
             let limit = self.shared.limits.limit(class);

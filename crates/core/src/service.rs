@@ -39,29 +39,28 @@
 //! trace; retrying after an existing handle resolves is the expected
 //! recovery (see `examples/engine_service.rs`).
 //!
-//! The service and [`crate::Fleet`] are two dispatchers over one job
+//! The service and [`crate::Fleet`] dispatch alike, over one job
 //! lifecycle: the same admission counters, per-attempt sessions,
-//! outcome classification, retry backoff and settlement. The service
-//! runs each admitted job on its own thread, every attempt through the
+//! outcome classification, retry backoff and settlement, and one
+//! thread per admitted job. The service runs every attempt through the
 //! one scheduler session the job was given at submit; train jobs run an
-//! epoch loop instead of generation rounds. The fleet runs the same
-//! lifecycle on N engine replicas, with routing, work-stealing and
-//! failover behind the submit call.
+//! epoch loop instead of generation rounds. The fleet picks one of N
+//! engine replicas per attempt and submits into that replica's
+//! scheduler.
 
 use crate::artifact::ArtifactStore;
 use crate::engine::Engine;
 use crate::error::PpError;
 use crate::fault::Fault;
 use crate::jobspec::{JobKind, JobSpec, QosClass};
-use crate::lifecycle::{shaped_seed, Admission, AdmittedJob};
+use crate::lifecycle::{shaped_seed, Admission, AdmittedJob, JobThreads};
 use crate::scheduler::{
     ClassCounts, QueueLimits, Scheduler, SchedulerHandle, SchedulerOptions, SchedulerStats,
 };
-use crate::stream::{CancelToken, Progress};
+use crate::stream::Progress;
 use crate::train::{TrainRun, TrainSpec};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use crate::lifecycle::{JobHandle, JobOutcome, JobReport, JobStatus};
@@ -121,11 +120,13 @@ pub struct ServiceStats {
 /// held by callers stay valid: a [`JobHandle::wait`] after the drop
 /// returns the terminal outcome that was reached.
 pub struct Service {
+    /// First, so it drops (cancelling and joining the jobs) before the
+    /// scheduler they run on.
+    jobs: JobThreads,
     engine: Engine,
     scheduler: Scheduler,
     admission: Arc<Admission>,
     store: Option<Arc<dyn ArtifactStore>>,
-    jobs: Mutex<Vec<(CancelToken, JoinHandle<()>)>>,
 }
 
 impl fmt::Debug for Service {
@@ -148,11 +149,11 @@ impl Service {
         };
         let scheduler = engine.scheduler_with(threads, options.scheduler);
         Service {
+            jobs: JobThreads::default(),
             engine: engine.clone(),
             scheduler,
             admission: Admission::new(options.job_limits, ""),
             store: options.store,
-            jobs: Mutex::new(Vec::new()),
         }
     }
 
@@ -217,45 +218,26 @@ impl Service {
         let seed = shaped_seed(&self.engine, &spec)?;
         let job = self.admission.admit(spec, seed, None)?;
         let handle = job.handle();
-        let cancel = job.cancel_token();
         // One scheduler session for all attempts, allocated here so
         // session ids follow submit order: stats attribution and
         // fault-plan keying stay stable across retries.
         let sched = self.scheduler.handle();
         let engine = self.engine.clone();
         let store = self.store.clone();
-        let worker = std::thread::spawn(move || {
-            job.run_to_end(
-                || sched.is_healthy(),
-                |job| match (&job.kind, &store) {
-                    (JobKind::Train(spec), Some(store)) => {
-                        run_train(job, &engine, &**store, spec, &sched)
-                    }
-                    _ => job.run_fresh(&engine, sched.clone()),
-                },
-            )
+        self.jobs.spawn(job, move |job| {
+            job.run_to_end(|job| {
+                job.attempt(
+                    || sched.is_healthy(),
+                    |job| match (&job.kind, &store) {
+                        (JobKind::Train(spec), Some(store)) => {
+                            run_train(job, &engine, &**store, spec, &sched)
+                        }
+                        _ => job.run_fresh(&engine, sched.clone()),
+                    },
+                )
+            })
         });
-        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-        // Reap terminal jobs so a long-lived service doesn't accumulate
-        // one join handle per job ever submitted (dropping a finished
-        // handle just releases it; active jobs stay tracked for Drop).
-        jobs.retain(|(_, worker)| !worker.is_finished());
-        jobs.push((cancel, worker));
         Ok(handle)
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        let mut jobs =
-            std::mem::take(&mut *self.jobs.lock().unwrap_or_else(PoisonError::into_inner));
-        for (cancel, _) in &jobs {
-            cancel.cancel();
-        }
-        for (_, worker) in jobs.drain(..) {
-            let _ = worker.join();
-        }
-        // The scheduler field drops after this, joining its pool.
     }
 }
 
@@ -536,8 +518,8 @@ mod tests {
         assert!(matches!(retry.wait(), JobOutcome::Failed(_)));
     }
 
-    /// A deadline too far in the future to represent as an `Instant`
-    /// degrades to "no deadline" instead of panicking mid-submit.
+    /// A deadline or a wait timeout too far in the future to represent
+    /// as an `Instant` degrades to "no deadline" instead of panicking.
     #[test]
     fn unrepresentable_deadlines_do_not_panic() {
         let service = tiny_service(QueueLimits::default());
@@ -548,7 +530,10 @@ mod tests {
                     .with_deadline(Duration::MAX),
             )
             .expect("admitted");
-        let report = handle.wait().into_report().expect("job completes");
+        let report = match handle.wait_timeout(Duration::MAX) {
+            Ok(outcome) => outcome.into_report().expect("job completes"),
+            Err(_) => panic!("a wait with no representable deadline returned early"),
+        };
         assert_eq!(report.generated, 2);
     }
 

@@ -1,13 +1,12 @@
 //! A miniature serving deployment on a replicated fleet: one trained
 //! checkpoint, N engine replicas each with its own supervised
-//! scheduler, and the `Fleet` router in front — work stealing across
-//! replica queues, fleet-wide admission bounds, session affinity with
-//! live migration, and replica drain with redistribution. Tenants
-//! still describe work as declarative `JobSpec`s; results are
-//! bit-identical whatever the replica count, because jobs never split
-//! across replicas. (The single-`Service` front door this example
-//! used to demonstrate still works unchanged — see README migration
-//! v5 for the mapping.)
+//! scheduler, and the `Fleet` router in front — a replica placed per
+//! attempt, fleet-wide admission bounds, session affinity with live
+//! migration, and replica drain. Tenants still describe work as
+//! declarative `JobSpec`s; results are bit-identical whatever the
+//! replica count, because an attempt never splits across replicas.
+//! (The single-`Service` front door this example used to demonstrate
+//! still works unchanged — see README migration v5 for the mapping.)
 //!
 //! Run with: `cargo run --release --example engine_service`
 
@@ -73,7 +72,8 @@ fn main() -> Result<(), PpError> {
     );
 
     // Background tenants: batch-class jobs the router spreads over
-    // both replicas (shortest queue first, idle replicas steal).
+    // both replicas (fewest running jobs first); inside a replica the
+    // scheduler's policy ranks them against every other job there.
     let batch: Vec<_> = (0..4u64)
         .map(|i| {
             fleet.submit(
@@ -95,13 +95,13 @@ fn main() -> Result<(), PpError> {
         }
     }
 
-    // Retire replica 0. Anything queued there redistributes; tenant
-    // A's next job finds its home replica gone, migrates the saved
-    // session (PPSQ copy) to a survivor, and *continues* it.
+    // Retire replica 0: no new attempt lands there. Tenant A's next
+    // job finds its home replica gone, migrates the saved session
+    // (PPSQ copy) to a survivor, and *continues* it.
     let stats = fleet.stats();
     println!(
-        "draining replica 0 (held {} queued jobs)",
-        stats.replicas[0].queued
+        "draining replica 0 ({} jobs running there)",
+        stats.replicas[0].running
     );
     fleet.drain(0);
     let job = fleet.submit(
@@ -133,14 +133,12 @@ fn main() -> Result<(), PpError> {
         );
     }
     println!(
-        "router: steals {} | affinity hits/misses {}/{} | migrations {} | \
-         failovers {} | redistributed {} | rejected depth/backpressure {}/{}",
-        stats.steals,
+        "router: affinity hits/misses {}/{} | migrations {} | failovers {} | \
+         rejected depth/backpressure {}/{}",
         stats.affinity_hits,
         stats.affinity_misses,
         stats.migrations,
         stats.failovers,
-        stats.redistributed,
         stats.rejected_depth,
         stats.rejected_backpressure,
     );

@@ -3,30 +3,36 @@
 //! * **Bit-identity** — a fleet of N replicas produces per-job results
 //!   identical to a fleet of one, for the same `JobSpec` set, across
 //!   replica counts and scheduling policies (the router changes *where*
-//!   a job runs, never its arithmetic).
+//!   an attempt runs, never its arithmetic).
+//! * **QoS inside a replica** — every job's attempt submits straight
+//!   into its replica's scheduler, so the policy ranks it against the
+//!   other jobs there: an Interactive job overtakes running Batch jobs
+//!   on a one-replica fleet.
 //! * **Retry failover** — a transient fault consumes a retry attempt
 //!   and the re-run lands on a different replica (the failing replica
-//!   is barred from taking the job back while a peer is usable).
+//!   is skipped while a peer is usable).
 //! * **Replica loss** — a replica whose supervised scheduler loses its
-//!   whole worker pool is retired: queued jobs redistribute, the
-//!   in-flight job fails over without consuming an attempt, and the
-//!   fleet keeps serving on the survivors.
+//!   whole worker pool is retired: every attempt running on it fails
+//!   over to a survivor without consuming an attempt, and the fleet
+//!   keeps serving there.
 //! * **Session affinity** — keyed jobs pin to the replica holding
-//!   their session state, resume it across jobs, and migrate the
-//!   serialized state when their replica is drained.
+//!   their session state, run one after another in submit order,
+//!   resume it across jobs, and migrate the serialized state when
+//!   their replica is drained.
 //! * **Admission** — per-class depth limits and best-effort
 //!   back-pressure shedding reject at the router, counted by cause;
-//!   cancellation and hard deadlines reach queued jobs, including jobs
-//!   waiting out a retry backoff.
-//! * **Panic isolation** — a stage panicking on a runner thread settles
-//!   its job `Failed`, as on a `Service`, and the runner keeps serving.
+//!   cancellation and hard deadlines reach jobs waiting their turn
+//!   behind an affinity key or waiting out a retry backoff.
+//! * **Panic isolation** — a stage panicking on a job's thread settles
+//!   the job `Failed`, as on a `Service`, and the replica keeps
+//!   serving.
 //!
 //! The `chaos_` test joins the `./ci.sh --chaos` seed sweep.
 
 use patternpaint::core::{
     DeadlineFirst, Engine, Fault, FaultPlan, Fleet, FleetOptions, GenerationRequest, JobOutcome,
-    JobSet, JobSpec, MemStore, PipelineConfig, PpError, QosClass, QueueLimits, RawSample,
-    RetryPolicy, Sampler, SchedPolicy, SchedView, SchedulerOptions, WeightedFair,
+    JobSet, JobSpec, JobStatus, MemStore, PipelineConfig, PpError, QosClass, QueueLimits,
+    RawSample, RetryPolicy, Sampler, SchedPolicy, SchedView, SchedulerOptions, WeightedFair,
 };
 use patternpaint::geometry::Layout;
 use patternpaint::pdk::SynthNode;
@@ -141,12 +147,59 @@ fn fleet_matches_single_replica_bit_identically() {
     }
 }
 
+/// The head-of-line scenario on one replica with one worker thread and
+/// `WeightedFair`: two 3,000-sample Batch jobs run, and a 2-sample
+/// Interactive job submitted 50 ms later settles while both still run.
+/// Its attempt enters the replica's scheduler at once, where the policy
+/// ranks it ahead of them — as on a `Service`.
+#[test]
+fn interactive_job_overtakes_running_batch_jobs_on_one_replica() {
+    let engine = tiny_engine(15);
+    let fleet = Fleet::replicate(
+        &engine,
+        FleetOptions::new()
+            .with_replicas(1)
+            .with_threads(1)
+            .scheduler_factory(|_| SchedulerOptions::new().policy(WeightedFair)),
+    );
+    let batch: Vec<_> = (0..2)
+        .map(|i| {
+            fleet
+                .submit(JobSpec::raw(request(&engine, 3000, 80 + i)).with_class(QosClass::Batch))
+                .expect("batch job admitted")
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    let interactive = fleet
+        .submit(JobSpec::raw(request(&engine, 2, 82)).with_class(QosClass::Interactive))
+        .expect("interactive job admitted");
+    match interactive.wait_timeout(Duration::from_secs(60)) {
+        Ok(outcome) => assert!(outcome.is_completed(), "interactive outcome: {outcome}"),
+        Err(_) => panic!("the interactive job never settled"),
+    }
+    for (i, handle) in batch.iter().enumerate() {
+        assert_eq!(
+            handle.poll(),
+            JobStatus::Running,
+            "batch job {i} finished before the interactive job settled"
+        );
+    }
+    // Dropping the fleet cancels the batch jobs still running.
+    drop(fleet);
+    for (i, handle) in batch.into_iter().enumerate() {
+        match handle.wait() {
+            JobOutcome::Cancelled(_) => {}
+            other => panic!("batch job {i}: expected Cancelled, got: {other}"),
+        }
+    }
+}
+
 /// Both replicas schedule a transient i/o fault at their first session's
-/// slot 0, so wherever attempt 1 lands it fails; the retry is barred
-/// from the failing replica, fails again on the peer's first session,
-/// and attempt 3 completes back on the first replica's second session.
-/// Deterministic regardless of who wins the initial steal race — and it
-/// proves the retry crossed replicas.
+/// slot 0, so wherever attempt 1 lands it fails; the retry skips the
+/// failing replica, fails again on the peer's first session, and
+/// attempt 3 completes back on the first replica's second session.
+/// Deterministic whichever replica attempt 1 lands on — and it proves
+/// the retry crossed replicas.
 #[test]
 fn transient_retry_fails_over_to_another_replica() {
     let (engine, store) = saved_store(6);
@@ -189,10 +242,10 @@ fn transient_retry_fails_over_to_another_replica() {
     }
 }
 
-/// Kill one replica's whole worker pool mid-fleet: queued jobs must
-/// redistribute to the survivor, the in-flight job must fail over
-/// without consuming a retry attempt, and every job must still match
-/// its solo reference bit for bit.
+/// Kill one replica's whole worker pool mid-fleet: every attempt running
+/// on it must fail over to the survivor without consuming a retry
+/// attempt, and every job must still match its solo reference bit for
+/// bit.
 #[test]
 fn replica_loss_redistributes_queued_jobs() {
     let (engine, store) = saved_store(7);
@@ -213,7 +266,7 @@ fn replica_loss_redistributes_queued_jobs() {
     )
     .expect("fleet opens");
     // Pin the first job to the doomed replica so its pool provably
-    // dies executing it; the rest queue behind with the same hint.
+    // dies executing it; the rest land there too, by the same hint.
     let handles: Vec<_> = seeds
         .iter()
         .enumerate()
@@ -246,9 +299,9 @@ fn replica_loss_redistributes_queued_jobs() {
     assert!(!stats.replicas[0].healthy, "the wedged replica must retire");
     assert!(stats.replicas[1].healthy);
     assert!(stats.failovers >= 1, "the in-flight job failed over");
-    assert!(
-        stats.steals + stats.redistributed >= 1,
-        "queued jobs moved off the lost replica somehow"
+    assert_eq!(
+        stats.replicas[1].scheduler.samples, 20,
+        "every job's samples came from the survivor"
     );
     // The fleet keeps serving on the survivor — a stale placement hint
     // falls back to a usable replica.
@@ -346,6 +399,54 @@ fn affinity_pins_resumes_and_migrates() {
     assert!(matches!(err, PpError::Config(_)), "wrong error: {err}");
 }
 
+/// Three jobs sharing a key, all in flight at once, run one after
+/// another in submit order: each continues the session its predecessor
+/// saved, so the third library equals one session's initial round plus
+/// three iterations. A job without a key runs beside the line.
+#[test]
+fn same_key_jobs_run_in_submit_order() {
+    let (engine, store) = saved_store(14);
+    let fleet = Fleet::open(&store, FleetOptions::new().with_replicas(2)).expect("fleet opens");
+    let keyed: Vec<_> = (0..3)
+        .map(|_| {
+            fleet
+                .submit(
+                    JobSpec::iterative(1)
+                        .with_seed(41)
+                        .with_affinity("tenant-b"),
+                )
+                .expect("admitted")
+        })
+        .collect();
+    let unkeyed = fleet
+        .submit(JobSpec::raw(request(&engine, 4, 42)).with_seed(42))
+        .expect("admitted");
+    assert!(unkeyed.wait().is_completed(), "the unkeyed job completes");
+    let reports: Vec<_> = keyed
+        .into_iter()
+        .enumerate()
+        .map(|(i, handle)| match handle.wait() {
+            JobOutcome::Completed(report) => report,
+            other => panic!("keyed job {i}: {other}"),
+        })
+        .collect();
+    let generated: Vec<usize> = reports.iter().map(|r| r.generated).collect();
+    assert!(
+        generated.windows(2).all(|w| w[1] > w[0]),
+        "each keyed job continued its predecessor's session: {generated:?}"
+    );
+    let mut solo = engine.session_seeded(41);
+    solo.run_request(&solo.initial_request())
+        .expect("solo initial");
+    solo.seed_starters();
+    solo.iterate(3).expect("solo iterates");
+    assert_eq!(
+        reports[2].library.patterns(),
+        solo.library().patterns(),
+        "the third same-key job diverged from one uninterrupted session"
+    );
+}
+
 /// Admission rejects at the router, counted by cause: per-class depth
 /// fleet-wide, and best-effort shedding on the merged wait p90.
 #[test]
@@ -409,10 +510,10 @@ fn admission_rejects_by_depth_and_backpressure() {
     assert_eq!(stats.rejected_backpressure, 1);
 }
 
-/// Cancellation and hard deadlines reach jobs that are still queued at
-/// the router: behind a slow job on a one-replica fleet, a cancelled
+/// Cancellation and hard deadlines reach jobs that are still waiting
+/// their turn: behind a slow job with the same affinity key, a cancelled
 /// job settles `Cancelled` and an expired one `TimedOut`, both with
-/// empty reports — they never occupied a replica.
+/// empty reports — they never touched a replica.
 #[test]
 fn cancellation_and_deadlines_reach_queued_jobs() {
     let (engine, store) = saved_store(10);
@@ -423,15 +524,16 @@ fn cancellation_and_deadlines_reach_queued_jobs() {
         }),
     )
     .expect("fleet opens");
-    let slow = fleet
-        .submit(JobSpec::raw(request(&engine, 8, 60)).with_seed(60))
-        .expect("admitted");
-    let cancelled = fleet
-        .submit(JobSpec::raw(request(&engine, 4, 61)))
-        .expect("admitted");
+    let keyed = |n, seed| {
+        JobSpec::raw(request(&engine, n, seed))
+            .with_seed(seed)
+            .with_affinity("slow-tenant")
+    };
+    let slow = fleet.submit(keyed(8, 60)).expect("admitted");
+    let cancelled = fleet.submit(keyed(4, 61)).expect("admitted");
     cancelled.cancel();
     let expired = fleet
-        .submit(JobSpec::raw(request(&engine, 4, 62)).with_hard_deadline(Duration::from_millis(1)))
+        .submit(keyed(4, 62).with_hard_deadline(Duration::from_millis(1)))
         .expect("admitted");
     match cancelled.wait() {
         JobOutcome::Cancelled(report) => {
@@ -449,13 +551,18 @@ fn cancellation_and_deadlines_reach_queued_jobs() {
         slow.wait().is_completed(),
         "the slow job itself is unaffected"
     );
+    assert_eq!(
+        fleet.stats().aggregated.admitted.total(),
+        1,
+        "only the slow job's round reached the scheduler"
+    );
 }
 
 /// The fleet run of `qos_scheduler`'s
 /// `cancel_during_retry_backoff_abandons_without_ghost_resubmission`:
-/// attempt 1 panics mid-submission, the job waits out a long backoff in
-/// the router queue, and a cancel there settles it `Cancelled` with an
-/// empty report that counts only the attempt that ran.
+/// attempt 1 panics mid-submission, the job's thread sleeps out a long
+/// backoff, and a cancel there settles it `Cancelled` with an empty
+/// report that counts only the attempt that ran.
 #[test]
 fn cancel_during_retry_backoff_counts_only_the_attempt_that_ran() {
     let (engine, store) = saved_store(13);
@@ -505,11 +612,11 @@ fn cancel_during_retry_backoff_counts_only_the_attempt_that_ran() {
     assert_eq!(stats.active.total(), 0);
 }
 
-/// A custom sampler runs on the replica's runner thread. One that
-/// panics must settle its job `Failed` — exactly as a `Service` does —
-/// and leave the runner serving: the job queued behind it (an ordinary
-/// sampler error) settles too, the admission slots free, and the
-/// replica stays in rotation because its scheduler is unharmed.
+/// A custom sampler runs on the job's thread. One that panics must
+/// settle its job `Failed` — exactly as a `Service` does — and leave the
+/// replica serving: the job submitted next to it (an ordinary sampler
+/// error) settles too, the admission slots free, and the replica stays
+/// in rotation because its scheduler is unharmed.
 #[test]
 fn panicking_stage_settles_failed_and_the_replica_keeps_serving() {
     struct Faulty;
