@@ -1,13 +1,15 @@
-//! `panic-hygiene`: the scheduler/service/tail library surface must not
-//! panic — it returns typed `PpError`s.
+//! `panic-hygiene`: the scheduler/service/tail library surface and the
+//! decoders of stored bytes must not panic — they return typed errors.
 //!
-//! These are the files between a tenant's request and the worker pool;
-//! a panic here is either a whole-pool wedge or a poisoned lock for
-//! every other tenant. The rule bans the panic macro family and
-//! `.unwrap()` / `.expect()` in their non-test code. (Slice indexing is
-//! out of lexical reach — clippy's `indexing_slicing` exists when that
-//! is wanted.) The deliberate fault-injection panic in the scheduler's
-//! chaos hook carries a narrowly-scoped `analyze.allow` waiver.
+//! The first are the files between a tenant's request and the worker
+//! pool; a panic there is either a whole-pool wedge or a poisoned lock
+//! for every other tenant. The second (the codec and the formats built
+//! on it) read bytes from disk or the wire, where any value can appear.
+//! The rule bans the panic macro family and `.unwrap()` / `.expect()`
+//! in their non-test code. (Slice indexing is out of lexical reach —
+//! clippy's `indexing_slicing` exists when that is wanted.) The
+//! deliberate fault-injection panic in the scheduler's chaos hook
+//! carries a narrowly-scoped `analyze.allow` waiver.
 
 use super::{finding, Config};
 use crate::model::SourceFile;

@@ -270,7 +270,7 @@ mod panic_hygiene {
 
     #[test]
     fn quiet_outside_the_protected_files_and_in_tests() {
-        let a = run(&[("crates/core/src/artifact.rs", BAD)]);
+        let a = run(&[("crates/core/src/library.rs", BAD)]);
         assert!(
             !rules_of(&a).contains(&"panic-hygiene"),
             "{}",

@@ -23,7 +23,6 @@
 use patternpaint_core::{PatternPaint, PipelineConfig};
 use pp_pdk::SynthNode;
 use std::fs;
-use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 
 /// The four PatternPaint model variants of Table I / Figure 7.
@@ -94,8 +93,8 @@ pub fn cached_pipeline(variant: Variant, cfg: &PipelineConfig) -> PatternPaint {
 
     let mut pp =
         PatternPaint::untrained(node.clone(), *cfg, variant.seed).expect("bench presets are valid");
-    if let Ok(f) = fs::File::open(&path) {
-        if pp.load_weights(BufReader::new(f)).is_ok() {
+    if let Ok(bytes) = fs::read(&path) {
+        if pp.load_weights(&bytes).is_ok() {
             eprintln!("[cache] loaded {}", path.display());
             return pp;
         }
@@ -118,7 +117,7 @@ pub fn cached_pipeline(variant: Variant, cfg: &PipelineConfig) -> PatternPaint {
         PatternPaint::pretrained(node, *cfg, variant.seed).expect("bench presets are valid")
     };
     if let Ok(f) = fs::File::create(&path) {
-        let _ = pp.save_weights(BufWriter::new(f));
+        let _ = pp.save_weights(f);
     }
     pp
 }

@@ -15,12 +15,19 @@
 //! | `model.ppck` | versioned model checkpoint (`pp_diffusion::checkpoint`) |
 //! | `session-<name>.meta` | `PPSS` manifest: session config, seed, progress counters |
 //! | `session-<name>.ppsq` | the session library in squish form (`PPSQ v1`) |
+//! | `train-<output>.ppck` / `.state` | a train job's checkpoint and `PPTS` resume state |
+//!
+//! Every blob goes through the one binary codec, [`pp_geometry::codec`]
+//! (re-exported here for pp-core's formats), whose decoders are total.
 //!
 //! Failures surface as [`ArtifactError`] (wrapped in
 //! [`crate::PpError::Artifact`] at the pipeline surface), whose
 //! [`std::error::Error::source`] chain reaches the underlying
-//! `io::Error` so operators can tell a full disk from a corrupt file.
+//! `io::Error` so operators can tell a full disk from a corrupt file;
+//! a blob that fails to decode is [`ArtifactError::Corrupt`] naming the
+//! key and, in its detail, the field.
 
+pub(crate) use pp_geometry::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -336,145 +343,6 @@ impl ArtifactStore for MemStore {
     }
 }
 
-/// Little-endian manifest encoder (the engine/session `.meta` blobs).
-#[derive(Debug, Default)]
-pub(crate) struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    pub(crate) fn new() -> ByteWriter {
-        ByteWriter::default()
-    }
-
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Infallible `io::Write`, so codecs defined against `io::Write`
-/// (e.g. `pp_diffusion::checkpoint::write_config`) can target a
-/// manifest blob directly.
-impl io::Write for ByteWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// `io::Read` over the unconsumed tail, so codecs defined against
-/// `io::Read` (e.g. `pp_diffusion::checkpoint::read_config`) can parse
-/// out of a manifest blob in place.
-impl io::Read for ByteReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = buf.len().min(self.remaining().len());
-        buf[..n].copy_from_slice(&self.remaining()[..n]);
-        self.advance(n);
-        Ok(n)
-    }
-}
-
-/// Little-endian manifest decoder; every read reports truncation as a
-/// `String` detail the caller wraps into [`ArtifactError::Corrupt`].
-#[derive(Debug)]
-pub(crate) struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "truncated at {what} (offset {}, need {n} bytes, have {})",
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        self.take(n, what)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
-    }
-
-    pub(crate) fn f32(&mut self, what: &str) -> Result<f32, String> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, String> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("took 8 bytes")))
-    }
-
-    pub(crate) fn remaining(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    pub(crate) fn advance(&mut self, n: usize) {
-        self.pos = (self.pos + n).min(self.buf.len());
-    }
-
-    pub(crate) fn expect_end(&self, what: &str) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,30 +426,5 @@ mod tests {
         assert!(matches!(err, ArtifactError::Io { .. }));
         assert!(err.source().is_some(), "Io must expose its source");
         let _ = std::fs::remove_file(&root);
-    }
-
-    #[test]
-    fn byte_cursor_roundtrip_and_truncation() {
-        let mut w = ByteWriter::new();
-        w.bytes(b"HDR");
-        w.u8(7);
-        w.u32(0xdead_beef);
-        w.u64(1 << 40);
-        w.f32(1.5);
-        w.f64(-2.25);
-        let buf = w.into_vec();
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.bytes(3, "hdr").unwrap(), b"HDR");
-        assert_eq!(r.u8("a").unwrap(), 7);
-        assert_eq!(r.u32("b").unwrap(), 0xdead_beef);
-        assert_eq!(r.u64("c").unwrap(), 1 << 40);
-        assert_eq!(r.f32("d").unwrap(), 1.5);
-        assert_eq!(r.f64("e").unwrap(), -2.25);
-        r.expect_end("manifest").unwrap();
-        let mut r = ByteReader::new(&buf[..5]);
-        let _ = r.bytes(3, "hdr").unwrap();
-        let _ = r.u8("a").unwrap();
-        let err = r.u32("b").unwrap_err();
-        assert!(err.contains("truncated at b"), "got: {err}");
     }
 }

@@ -54,7 +54,7 @@
 //! # }
 //! ```
 
-use crate::artifact::{ArtifactError, ArtifactStore, ByteReader, ByteWriter};
+use crate::artifact::{ArtifactError, ArtifactStore, ByteReader, ByteWriter, CodecError};
 use crate::config::{FinetuneConfig, PipelineConfig, PretrainConfig};
 use crate::error::PpError;
 use crate::jobs::JobSet;
@@ -417,7 +417,7 @@ impl Engine {
         meta.u32(self.core.node.clip());
         meta.u32(self.core.node.pitch());
         meta.u64(self.core.seed);
-        meta.u8(u8::from(self.core.finetuned));
+        meta.flag(self.core.finetuned);
         encode_config(&mut meta, &self.core.cfg);
         let mut checkpoint = Vec::new();
         // save_weights walks parameters mutably; serialise a private
@@ -441,32 +441,31 @@ impl Engine {
     /// validation; [`PpError::Config`]/[`PpError::Shape`] when the
     /// restored configuration no longer validates.
     pub fn open(store: &dyn ArtifactStore) -> Result<Engine, PpError> {
-        let meta = store.get(ENGINE_META_KEY)?;
-        let corrupt =
-            |detail: String| PpError::Artifact(ArtifactError::corrupt(ENGINE_META_KEY, detail));
-        let mut r = ByteReader::new(&meta);
-        if r.bytes(4, "magic").map_err(corrupt)? != b"PPEG" {
-            return Err(corrupt("missing PPEG magic".into()));
-        }
-        let version = r.u32("version").map_err(corrupt)?;
-        if version != 1 {
-            return Err(corrupt(format!("unsupported manifest version {version}")));
-        }
-        let clip = r.u32("clip").map_err(corrupt)?;
-        let pitch = r.u32("pitch").map_err(corrupt)?;
-        let seed = r.u64("seed").map_err(corrupt)?;
-        let finetuned = r.u8("finetuned").map_err(corrupt)? != 0;
-        let cfg = decode_config(&mut r).map_err(corrupt)?;
-        r.expect_end("engine manifest").map_err(corrupt)?;
+        let decode = |meta: &[u8]| -> Result<_, CodecError> {
+            let mut r = ByteReader::new(meta);
+            r.magic(b"PPEG", "magic")?;
+            r.version(1..=1, "version")?;
+            let clip = r.u32("clip")?;
+            let pitch = r.u32("pitch")?;
+            let node = SynthNode::try_new(clip, pitch)
+                .map_err(|e| CodecError::corrupt("clip and pitch", e))?;
+            let seed = r.u64("seed")?;
+            let finetuned = r.flag("finetuned")?;
+            let cfg = decode_config(&mut r)?;
+            r.expect_end("engine manifest")?;
+            Ok((node, seed, finetuned, cfg))
+        };
+        let (node, seed, finetuned, cfg) = decode(&store.get(ENGINE_META_KEY)?)
+            .map_err(|e| ArtifactError::corrupt(ENGINE_META_KEY, e.to_string()))?;
         let checkpoint = store.get(ENGINE_MODEL_KEY)?;
-        let model = load_checkpoint(checkpoint.as_slice())?;
+        let model = load_checkpoint(&checkpoint)?;
         if model.config() != cfg.model {
             return Err(PpError::Artifact(ArtifactError::corrupt(
                 ENGINE_MODEL_KEY,
                 "checkpoint architecture disagrees with the engine manifest",
             )));
         }
-        let pp = crate::builder::PipelineBuilder::new(SynthNode::new(clip, pitch), cfg)
+        let pp = crate::builder::PipelineBuilder::new(node, cfg)
             .seed(seed)
             .untrained()?;
         let mut core = Arc::try_unwrap(pp.into_engine().core).unwrap_or_else(|arc| (*arc).clone());
@@ -521,7 +520,7 @@ impl Engine {
         key: &str,
     ) -> Result<(Engine, CheckpointLineage), PpError> {
         let bytes = store.get(key)?;
-        let (model, lineage) = load_checkpoint_with(bytes.as_slice())?;
+        let (model, lineage) = load_checkpoint_with(&bytes)?;
         Ok((self.with_model(model)?, lineage))
     }
 }
@@ -821,24 +820,25 @@ impl Session {
         name: &str,
     ) -> Result<Session, PpError> {
         let (meta_key, lib_key) = session_keys(name);
-        let meta = store.get(&meta_key)?;
-        let corrupt = |detail: String| PpError::Artifact(ArtifactError::corrupt(&meta_key, detail));
-        let mut r = ByteReader::new(&meta);
-        if r.bytes(4, "magic").map_err(corrupt)? != b"PPSS" {
-            return Err(corrupt("missing PPSS magic".into()));
-        }
-        let version = r.u32("version").map_err(corrupt)?;
-        if version != 1 {
-            return Err(corrupt(format!("unsupported manifest version {version}")));
-        }
-        let seed = r.u64("seed").map_err(corrupt)?;
-        let legal_total = r.u64("legal_total").map_err(corrupt)? as usize;
-        let generated_total = r.u64("generated_total").map_err(corrupt)? as usize;
-        let next_iteration = r.u64("next_iteration").map_err(corrupt)? as usize;
-        let cfg = decode_config(&mut r).map_err(corrupt)?;
-        r.expect_end("session manifest").map_err(corrupt)?;
+        let decode = |meta: &[u8]| -> Result<_, CodecError> {
+            let mut r = ByteReader::new(meta);
+            r.magic(b"PPSS", "magic")?;
+            r.version(1..=1, "version")?;
+            let seed = r.u64("seed")?;
+            let counters = [
+                r.u64("legal_total")? as usize,
+                r.u64("generated_total")? as usize,
+                r.u64("next_iteration")? as usize,
+            ];
+            let cfg = decode_config(&mut r)?;
+            r.expect_end("session manifest")?;
+            Ok((seed, counters, cfg))
+        };
+        let (seed, [legal_total, generated_total, next_iteration], cfg) =
+            decode(&store.get(&meta_key)?)
+                .map_err(|e| ArtifactError::corrupt(&meta_key, e.to_string()))?;
         let lib_bytes = store.get(&lib_key)?;
-        let library = PatternLibrary::read_squish(lib_bytes.as_slice())
+        let library = PatternLibrary::read_squish(&lib_bytes)
             .map_err(|e| PpError::Artifact(ArtifactError::corrupt(&lib_key, e.to_string())))?;
         let session = engine
             .session_seeded(seed)
@@ -868,7 +868,7 @@ pub(crate) fn session_keys(name: &str) -> (String, String) {
 /// section reuses `pp_diffusion`'s one [`write_config`] codec, so a
 /// new `DiffusionConfig` field or enum variant is a single edit there.
 pub(crate) fn encode_config(w: &mut ByteWriter, cfg: &PipelineConfig) {
-    write_config(&cfg.model, w).expect("in-memory manifest writer cannot fail");
+    write_config(&cfg.model, w);
     w.u64(cfg.pretrain.corpus as u64);
     w.u64(cfg.pretrain.steps as u64);
     w.u64(cfg.pretrain.batch as u64);
@@ -890,8 +890,8 @@ pub(crate) fn encode_config(w: &mut ByteWriter, cfg: &PipelineConfig) {
 }
 
 /// Deserialises what [`encode_config`] wrote.
-pub(crate) fn decode_config(r: &mut ByteReader<'_>) -> Result<PipelineConfig, String> {
-    let model = read_config(r).map_err(|e| e.to_string())?;
+pub(crate) fn decode_config(r: &mut ByteReader<'_>) -> Result<PipelineConfig, CodecError> {
+    let model = read_config(r)?;
     Ok(PipelineConfig {
         model,
         pretrain: PretrainConfig {
@@ -1042,5 +1042,56 @@ mod tests {
         assert_eq!((a.count, a.unique), (b.count, b.unique));
         assert_eq!(a.h1.to_bits(), b.h1.to_bits());
         assert_eq!(a.h2.to_bits(), b.h2.to_bits());
+    }
+
+    /// Bytes 8–15 of `engine.meta` hold the node's clip and pitch. Every
+    /// single-bit flip there names a node that cannot serve this
+    /// engine: `Engine::open` must say so with an error, not panic
+    /// inside the node constructor or the starter patterns.
+    #[test]
+    fn open_rejects_every_clip_and_pitch_flip() {
+        let engine = tiny_engine();
+        let store = MemStore::new();
+        engine.save(&store).unwrap();
+        let meta = store.get(ENGINE_META_KEY).unwrap();
+        assert_eq!(meta[8..12], engine.node().clip().to_le_bytes());
+        assert_eq!(meta[12..16], engine.node().pitch().to_le_bytes());
+        for bit in 64..128 {
+            let mut bad = meta.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            store.put(ENGINE_META_KEY, &bad).unwrap();
+            let err = Engine::open(&store).expect_err("a flipped clip or pitch bit must fail");
+            assert!(
+                matches!(&err, PpError::Artifact(_) | PpError::Shape { .. }),
+                "bit {bit}: {err}"
+            );
+        }
+    }
+
+    /// A library count that lost a bit leaves stored patterns unread:
+    /// resuming must fail, not come back with a shorter library.
+    #[test]
+    fn resume_rejects_a_library_whose_count_lost_a_bit() {
+        let engine = tiny_engine();
+        let store = MemStore::new();
+        let mut session = engine.session_seeded(9);
+        session.initial_generation().unwrap();
+        session.seed_starters();
+        session.save(&store, "tenant-a").unwrap();
+        let lib_key = "session-tenant-a.ppsq";
+        let lib = store.get(lib_key).unwrap();
+        let count = session.library().len() as u32;
+        assert_eq!(lib[8..12], count.to_le_bytes(), "count after the magic");
+        for bit in (0..32).filter(|b| count & (1 << b) != 0) {
+            let mut bad = lib.clone();
+            bad[8 + bit / 8] ^= 1 << (bit % 8);
+            store.put(lib_key, &bad).unwrap();
+            let err = Session::resume(&engine, &store, "tenant-a")
+                .expect_err("patterns after the count must not be dropped");
+            assert!(
+                matches!(&err, PpError::Artifact(ArtifactError::Corrupt { key, .. }) if key == lib_key),
+                "bit {bit}: {err}"
+            );
+        }
     }
 }

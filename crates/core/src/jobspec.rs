@@ -19,7 +19,9 @@
 //!   micro-batches by class weight ([`QosClass::weight`]), and
 //!   [`crate::DeadlineFirst`] orders by the spec's soft deadline.
 
+use crate::artifact::{ByteReader, ByteWriter, CodecError};
 use crate::config::PipelineConfig;
+use crate::engine::{decode_config, encode_config};
 use crate::error::PpError;
 use crate::stream::GenerationRequest;
 use crate::train::{ExportWeights, TrainSpec};
@@ -83,11 +85,11 @@ impl QosClass {
         self.index() as u8
     }
 
-    fn from_tag(tag: u8) -> Result<QosClass, PpError> {
+    fn from_tag(tag: u8) -> Result<QosClass, CodecError> {
         QosClass::ALL
             .get(tag as usize)
             .copied()
-            .ok_or_else(|| PpError::Config(format!("job spec: unknown QoS class tag {tag}")))
+            .ok_or_else(|| CodecError::corrupt("class", format!("unknown QoS class tag {tag}")))
     }
 }
 
@@ -364,7 +366,6 @@ impl JobSpec {
     /// [`PpError::Config`] for [`JobKind::Raw`], whose job set is an
     /// in-memory value with no serial form.
     pub fn encode(&self) -> Result<Vec<u8>, PpError> {
-        use crate::artifact::ByteWriter;
         let mut w = ByteWriter::new();
         w.bytes(b"PPJS");
         // Version 4 adds the Train kind (tag 2 + its payload); version
@@ -390,178 +391,132 @@ impl JobSpec {
             }
         }
         w.u8(self.class.tag());
-        opt_u64(&mut w, self.deadline.map(|d| d.as_micros() as u64));
-        opt_u64(&mut w, self.budget.map(|b| b as u64));
-        opt_u64(&mut w, self.seed);
-        w.u8(u8::from(self.hard_deadline));
+        w.opt_u64(self.deadline.map(|d| d.as_micros() as u64));
+        w.opt_u64(self.budget.map(|b| b as u64));
+        w.opt_u64(self.seed);
+        w.flag(self.hard_deadline);
         w.u64(u64::from(self.retry.max_attempts));
         w.u64(self.retry.backoff.as_micros() as u64);
-        match &self.affinity {
-            None => w.u8(0),
-            Some(key) => {
-                if key.len() > JobSpec::MAX_AFFINITY {
-                    return Err(PpError::Config(format!(
-                        "job spec: affinity key is {} bytes (limit {})",
-                        key.len(),
-                        JobSpec::MAX_AFFINITY
-                    )));
-                }
-                w.u8(1);
-                w.u32(key.len() as u32);
-                w.bytes(key.as_bytes());
+        w.flag(self.affinity.is_some());
+        if let Some(key) = &self.affinity {
+            if key.len() > JobSpec::MAX_AFFINITY {
+                return Err(PpError::Config(format!(
+                    "job spec: affinity key is {} bytes (limit {})",
+                    key.len(),
+                    JobSpec::MAX_AFFINITY
+                )));
             }
+            w.str(key);
         }
-        opt_u64(&mut w, self.placement);
-        match &self.config {
-            None => w.u8(0),
-            Some(cfg) => {
-                w.u8(1);
-                crate::engine::encode_config(&mut w, cfg);
-            }
+        w.opt_u64(self.placement);
+        w.flag(self.config.is_some());
+        if let Some(cfg) = &self.config {
+            encode_config(&mut w, cfg);
         }
         Ok(w.into_vec())
     }
 
-    /// Deserialises a blob written by [`JobSpec::encode`].
+    /// Deserialises a blob written by [`JobSpec::encode`] (or by a
+    /// build that wrote versions 1–3).
     ///
     /// # Errors
     ///
     /// [`PpError::Config`] naming the corrupt or truncated field.
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, PpError> {
-        use crate::artifact::ByteReader;
-        let corrupt = |detail: String| PpError::Config(format!("job spec: {detail}"));
-        let mut r = ByteReader::new(bytes);
-        if r.bytes(4, "magic").map_err(corrupt)? != b"PPJS" {
-            return Err(corrupt("missing PPJS magic".into()));
-        }
-        let version = r.u32("version").map_err(corrupt)?;
-        if !(1..=4).contains(&version) {
-            return Err(corrupt(format!("unsupported spec version {version}")));
-        }
-        let kind = match r.u8("kind").map_err(corrupt)? {
-            0 => JobKind::Initial,
-            1 => JobKind::Iterative {
-                iterations: r.u64("iterations").map_err(corrupt)? as usize,
-            },
-            2 if version >= 4 => JobKind::Train(decode_train(&mut r)?),
-            2 => {
-                return Err(corrupt(format!(
-                    "kind tag 2 needs spec version 4, got {version}"
-                )))
-            }
-            k => return Err(corrupt(format!("unknown kind tag {k}"))),
-        };
-        let class = QosClass::from_tag(r.u8("class").map_err(corrupt)?)?;
-        let deadline = opt_read(&mut r, "deadline")?.map(Duration::from_micros);
-        let budget = opt_read(&mut r, "budget")?.map(|b| b as usize);
-        let seed = opt_read(&mut r, "seed")?;
-        let (hard_deadline, retry) = if version >= 2 {
-            let hard = match r.u8("hard deadline flag").map_err(corrupt)? {
-                0 => false,
-                1 => true,
-                f => return Err(corrupt(format!("unknown hard deadline flag {f}"))),
-            };
-            let max_attempts = r.u64("retry max attempts").map_err(corrupt)?;
-            let max_attempts = u32::try_from(max_attempts)
-                .map_err(|_| corrupt(format!("retry max attempts {max_attempts} overflows")))?;
-            let backoff = Duration::from_micros(r.u64("retry backoff").map_err(corrupt)?);
-            (hard, RetryPolicy::new(max_attempts, backoff))
-        } else {
-            // Version-1 blobs predate enforcement and retries: their
-            // deadlines stay soft and they never retry.
-            (false, RetryPolicy::none())
-        };
-        let (affinity, placement) = if version >= 3 {
-            let affinity = match r.u8("affinity flag").map_err(corrupt)? {
-                0 => None,
-                1 => {
-                    let len = r.u32("affinity length").map_err(corrupt)? as usize;
-                    // Bound before allocating: a corrupt length field
-                    // must fail the read, not size it (the PPCK rule).
-                    if len > JobSpec::MAX_AFFINITY {
-                        return Err(corrupt(format!(
-                            "affinity length {len} exceeds limit {}",
-                            JobSpec::MAX_AFFINITY
-                        )));
-                    }
-                    let raw = r.bytes(len, "affinity key").map_err(corrupt)?;
-                    Some(
-                        String::from_utf8(raw.to_vec())
-                            .map_err(|_| corrupt("affinity key is not UTF-8".into()))?,
-                    )
-                }
-                f => return Err(corrupt(format!("unknown affinity flag {f}"))),
-            };
-            (affinity, opt_read(&mut r, "placement")?)
-        } else {
-            // Pre-fleet blobs: no routing hints.
-            (None, None)
-        };
-        let config = match r.u8("config flag").map_err(corrupt)? {
-            0 => None,
-            1 => Some(crate::engine::decode_config(&mut r).map_err(corrupt)?),
-            f => return Err(corrupt(format!("unknown config flag {f}"))),
-        };
-        r.expect_end("job spec").map_err(corrupt)?;
-        Ok(JobSpec {
-            kind,
-            class,
-            deadline,
-            hard_deadline,
-            retry,
-            budget,
-            seed,
-            config,
-            affinity,
-            placement,
-        })
+        decode_spec(bytes).map_err(|e| PpError::Config(format!("job spec: {e}")))
     }
 }
 
-/// Most session datasets a serialised [`TrainSpec`] may name — the
-/// decode-side bound applied *before* any allocation sized by the
-/// count field.
+fn decode_spec(bytes: &[u8]) -> Result<JobSpec, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    r.magic(b"PPJS", "magic")?;
+    let version = r.version(1..=4, "version")?;
+    let kind = match r.u8("kind")? {
+        0 => JobKind::Initial,
+        1 => JobKind::Iterative {
+            iterations: r.u64("iterations")? as usize,
+        },
+        2 if version >= 4 => JobKind::Train(decode_train(&mut r)?),
+        2 => {
+            return Err(CodecError::corrupt(
+                "kind",
+                format!("kind tag 2 needs spec version 4, got {version}"),
+            ))
+        }
+        k => return Err(CodecError::corrupt("kind", format!("unknown kind tag {k}"))),
+    };
+    let class = QosClass::from_tag(r.u8("class")?)?;
+    let deadline = r.opt_u64("deadline")?.map(Duration::from_micros);
+    let budget = r.opt_u64("budget")?.map(|b| b as usize);
+    let seed = r.opt_u64("seed")?;
+    let (hard_deadline, retry) = if version >= 2 {
+        let hard = r.flag("hard deadline flag")?;
+        let max_attempts = r.u64("retry max attempts")?;
+        // The raw count, 0 included (the field documents 0 as 1), so
+        // the spec re-encodes to the bytes it came from.
+        let max_attempts = u32::try_from(max_attempts).map_err(|_| {
+            CodecError::corrupt(
+                "retry max attempts",
+                format!("{max_attempts} overflows a u32"),
+            )
+        })?;
+        let backoff = Duration::from_micros(r.u64("retry backoff")?);
+        (
+            hard,
+            RetryPolicy {
+                max_attempts,
+                backoff,
+            },
+        )
+    } else {
+        // Version-1 blobs predate enforcement and retries: their
+        // deadlines stay soft and they never retry.
+        (false, RetryPolicy::none())
+    };
+    let (affinity, placement) = if version >= 3 {
+        let affinity = if r.flag("affinity flag")? {
+            Some(r.str(JobSpec::MAX_AFFINITY, "affinity")?)
+        } else {
+            None
+        };
+        (affinity, r.opt_u64("placement")?)
+    } else {
+        // Pre-fleet blobs: no routing hints.
+        (None, None)
+    };
+    let config = if r.flag("config flag")? {
+        Some(decode_config(&mut r)?)
+    } else {
+        None
+    };
+    r.expect_end("job spec")?;
+    Ok(JobSpec {
+        kind,
+        class,
+        deadline,
+        hard_deadline,
+        retry,
+        budget,
+        seed,
+        config,
+        affinity,
+        placement,
+    })
+}
+
+/// Most session datasets a serialised [`TrainSpec`] may name.
 const MAX_TRAIN_DATASETS: usize = 64;
 
-fn write_str(w: &mut crate::artifact::ByteWriter, what: &str, s: &str) -> Result<(), PpError> {
-    if s.len() > JobSpec::MAX_AFFINITY {
-        return Err(PpError::Config(format!(
-            "job spec: train {what} is {} bytes (limit {})",
-            s.len(),
-            JobSpec::MAX_AFFINITY
-        )));
-    }
-    w.u32(s.len() as u32);
-    w.bytes(s.as_bytes());
-    Ok(())
-}
-
-fn read_str(r: &mut crate::artifact::ByteReader<'_>, what: &str) -> Result<String, PpError> {
-    let corrupt = |detail: String| PpError::Config(format!("job spec: {detail}"));
-    let len = r.u32(what).map_err(corrupt)? as usize;
-    if len > JobSpec::MAX_AFFINITY {
-        return Err(corrupt(format!(
-            "train {what} length {len} exceeds limit {}",
-            JobSpec::MAX_AFFINITY
-        )));
-    }
-    let raw = r.bytes(len, what).map_err(corrupt)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt(format!("train {what} is not UTF-8")))
-}
-
-fn encode_train(w: &mut crate::artifact::ByteWriter, spec: &TrainSpec) -> Result<(), PpError> {
+fn encode_train(w: &mut ByteWriter, spec: &TrainSpec) -> Result<(), PpError> {
     w.u32(spec.epochs);
     w.u64(spec.steps_per_epoch as u64);
     w.u64(spec.batch as u64);
     w.f32(spec.lr);
     w.f32(spec.lambda);
     w.u64(spec.prior_count as u64);
-    match spec.ema_decay {
-        None => w.u8(0),
-        Some(decay) => {
-            w.u8(1);
-            w.f32(decay);
-        }
+    w.flag(spec.ema_decay.is_some());
+    if let Some(decay) = spec.ema_decay {
+        w.f32(decay);
     }
     w.u8(match spec.export {
         ExportWeights::Live => 0,
@@ -575,42 +530,49 @@ fn encode_train(w: &mut crate::artifact::ByteWriter, spec: &TrainSpec) -> Result
         )));
     }
     w.u32(spec.datasets.len() as u32);
-    for name in &spec.datasets {
-        write_str(w, "dataset name", name)?;
+    let names = spec.datasets.iter().map(|d| ("dataset name", d));
+    for (what, name) in names.chain([("output name", &spec.output)]) {
+        if name.len() > JobSpec::MAX_AFFINITY {
+            return Err(PpError::Config(format!(
+                "job spec: train {what} is {} bytes (limit {})",
+                name.len(),
+                JobSpec::MAX_AFFINITY
+            )));
+        }
+        w.str(name);
     }
-    write_str(w, "output name", &spec.output)
+    Ok(())
 }
 
-fn decode_train(r: &mut crate::artifact::ByteReader<'_>) -> Result<TrainSpec, PpError> {
-    let corrupt = |detail: String| PpError::Config(format!("job spec: {detail}"));
-    let epochs = r.u32("train epochs").map_err(corrupt)?;
-    let steps_per_epoch = r.u64("train steps").map_err(corrupt)? as usize;
-    let batch = r.u64("train batch").map_err(corrupt)? as usize;
-    let lr = r.f32("train lr").map_err(corrupt)?;
-    let lambda = r.f32("train lambda").map_err(corrupt)?;
-    let prior_count = r.u64("train prior count").map_err(corrupt)? as usize;
-    let ema_decay = match r.u8("train ema flag").map_err(corrupt)? {
-        0 => None,
-        1 => Some(r.f32("train ema decay").map_err(corrupt)?),
-        f => return Err(corrupt(format!("unknown train ema flag {f}"))),
+fn decode_train(r: &mut ByteReader<'_>) -> Result<TrainSpec, CodecError> {
+    let epochs = r.u32("train epochs")?;
+    let steps_per_epoch = r.u64("train steps")? as usize;
+    let batch = r.u64("train batch")? as usize;
+    let lr = r.f32("train lr")?;
+    let lambda = r.f32("train lambda")?;
+    let prior_count = r.u64("train prior count")? as usize;
+    let ema_decay = if r.flag("train ema flag")? {
+        Some(r.f32("train ema decay")?)
+    } else {
+        None
     };
-    let export = match r.u8("train export").map_err(corrupt)? {
-        0 => ExportWeights::Live,
-        1 => ExportWeights::Ema,
-        f => return Err(corrupt(format!("unknown train export tag {f}"))),
+    let export = if r.flag("train export")? {
+        ExportWeights::Ema
+    } else {
+        ExportWeights::Live
     };
-    let synth_corpus = r.u64("train synth corpus").map_err(corrupt)? as usize;
-    let n = r.u32("train dataset count").map_err(corrupt)? as usize;
+    let synth_corpus = r.u64("train synth corpus")? as usize;
+    let n = r.count(4, "train dataset count")?;
     if n > MAX_TRAIN_DATASETS {
-        return Err(corrupt(format!(
-            "train dataset count {n} exceeds limit {MAX_TRAIN_DATASETS}"
-        )));
+        return Err(CodecError::corrupt(
+            "train dataset count",
+            format!("{n} exceeds limit {MAX_TRAIN_DATASETS}"),
+        ));
     }
-    let mut datasets = Vec::with_capacity(n);
-    for _ in 0..n {
-        datasets.push(read_str(r, "dataset name")?);
-    }
-    let output = read_str(r, "output name")?;
+    let datasets = (0..n)
+        .map(|_| r.str(JobSpec::MAX_AFFINITY, "train dataset name"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let output = r.str(JobSpec::MAX_AFFINITY, "train output name")?;
     Ok(TrainSpec {
         epochs,
         steps_per_epoch,
@@ -624,25 +586,6 @@ fn decode_train(r: &mut crate::artifact::ByteReader<'_>) -> Result<TrainSpec, Pp
         synth_corpus,
         output,
     })
-}
-
-fn opt_u64(w: &mut crate::artifact::ByteWriter, v: Option<u64>) {
-    match v {
-        None => w.u8(0),
-        Some(v) => {
-            w.u8(1);
-            w.u64(v);
-        }
-    }
-}
-
-fn opt_read(r: &mut crate::artifact::ByteReader<'_>, what: &str) -> Result<Option<u64>, PpError> {
-    let corrupt = |detail: String| PpError::Config(format!("job spec: {detail}"));
-    match r.u8(what).map_err(corrupt)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64(what).map_err(corrupt)?)),
-        f => Err(corrupt(format!("unknown {what} flag {f}"))),
-    }
 }
 
 #[cfg(test)]

@@ -137,12 +137,12 @@ impl PatternLibrary {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on corrupt streams or when the stored
-    /// stream contains duplicate patterns (a library is deduplicated by
-    /// construction, so duplicates mean the artifact was tampered
-    /// with), and propagates I/O errors from `reader`.
-    pub fn read_squish<R: io::Read>(reader: R) -> io::Result<PatternLibrary> {
-        let squishes = read_squish_library(reader)?;
+    /// As [`read_squish_library`], plus `InvalidData` when the stored
+    /// library contains duplicate patterns (a library is deduplicated
+    /// by construction, so duplicates mean the artifact was tampered
+    /// with).
+    pub fn read_squish(bytes: &[u8]) -> io::Result<PatternLibrary> {
+        let squishes = read_squish_library(bytes)?;
         let mut library = PatternLibrary::new();
         for s in &squishes {
             if !library.insert(s.to_layout()) {

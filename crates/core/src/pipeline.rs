@@ -197,10 +197,10 @@ impl PatternPaint {
     ///
     /// # Errors
     ///
-    /// [`PpError::Checkpoint`] on reader failures, bad magic, or a
+    /// [`PpError::Checkpoint`] on truncated or corrupt bytes or a
     /// weight-shape mismatch; the model is untouched on error.
-    pub fn load_weights<R: std::io::Read>(&mut self, reader: R) -> Result<(), PpError> {
-        self.model_mut().load_weights(reader)?;
+    pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), PpError> {
+        self.model_mut().load_weights(bytes)?;
         Ok(())
     }
 

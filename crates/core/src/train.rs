@@ -27,7 +27,9 @@
 //! ambient randomness — preemption timing, deadlines and backoff live
 //! in `crate::service`, which owns the clock.
 
-use crate::artifact::{validate_key, ArtifactError, ArtifactStore, ByteReader, ByteWriter};
+use crate::artifact::{
+    validate_key, ArtifactError, ArtifactStore, ByteReader, ByteWriter, CodecError,
+};
 use crate::engine::{session_keys, Engine};
 use crate::error::PpError;
 use crate::library::PatternLibrary;
@@ -306,43 +308,6 @@ fn epoch_seed(seed: u64, epoch: u32) -> u64 {
     seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(epoch) + 1)
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Upper bound on tensors (and on a single tensor's length) a PPTS
-/// blob may claim — a corrupt length field must fail the read, not
-/// size an allocation (the PPCK/PPJS rule).
-const MAX_STATE_TENSORS: usize = 1 << 16;
-const MAX_TENSOR_LEN: usize = 1 << 28;
-
-fn write_tensor(w: &mut ByteWriter, t: &[f32]) {
-    w.u32(t.len() as u32);
-    for &v in t {
-        w.f32(v);
-    }
-}
-
-fn read_tensor(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<f32>, String> {
-    let len = r.u32(what)? as usize;
-    if len > MAX_TENSOR_LEN {
-        return Err(format!("{what}: implausible tensor length {len}"));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.f32(what)?);
-    }
-    Ok(out)
-}
-
 /// Serialises the resumable state (seed, epoch cursor, Adam moments,
 /// EMA shadow) as a checksummed PPTS blob.
 fn encode_state(seed: u64, epochs_done: u32, opt: &Adam, ema: Option<&EmaShadow>) -> Vec<u8> {
@@ -355,89 +320,52 @@ fn encode_state(seed: u64, epochs_done: u32, opt: &Adam, ema: Option<&EmaShadow>
     w.u64(state.t);
     w.u32(state.moments.len() as u32);
     for (m, v) in &state.moments {
-        write_tensor(&mut w, m);
-        write_tensor(&mut w, v);
+        w.f32s(m);
+        w.f32s(v);
     }
-    match ema {
-        None => w.u8(0),
-        Some(shadow) => {
-            w.u8(1);
-            w.f32(shadow.decay());
-            w.u32(shadow.tensors().len() as u32);
-            for t in shadow.tensors() {
-                write_tensor(&mut w, t);
-            }
+    w.flag(ema.is_some());
+    if let Some(shadow) = ema {
+        w.f32(shadow.decay());
+        w.u32(shadow.tensors().len() as u32);
+        for t in shadow.tensors() {
+            w.f32s(t);
         }
     }
-    let mut bytes = w.into_vec();
-    let sum = fnv1a(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.seal()
 }
 
 /// Parsed PPTS payload: `(seed, epochs_done, adam state, ema decay +
 /// tensors)`.
 type DecodedState = (u64, u32, AdamState, Option<(f32, Vec<Vec<f32>>)>);
 
-/// Parses and checksum-verifies a PPTS blob written by `encode_state`.
+/// Parses a PPTS blob written by `encode_state`, verifying its
+/// checksum right after the magic and version.
 fn decode_state(bytes: &[u8], key: &str) -> Result<DecodedState, PpError> {
-    let corrupt = |detail: String| PpError::Artifact(ArtifactError::corrupt(key, detail));
-    if bytes.len() < 8 {
-        return Err(corrupt(format!(
-            "{} bytes is not a PPTS stream",
-            bytes.len()
-        )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().map_err(|_| {
-        // split_at guarantees 8 bytes; defensive for the type system.
-        ArtifactError::corrupt(key, "checksum tail is not 8 bytes")
-    })?);
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
-        )));
-    }
-    let mut r = ByteReader::new(body);
-    if r.bytes(4, "magic").map_err(corrupt)? != TRAIN_STATE_MAGIC {
-        return Err(corrupt("missing PPTS magic".into()));
-    }
-    let version = r.u32("version").map_err(corrupt)?;
-    if version != TRAIN_STATE_VERSION {
-        return Err(corrupt(format!("unsupported PPTS version {version}")));
-    }
-    let seed = r.u64("seed").map_err(corrupt)?;
-    let epochs_done = r.u32("epochs_done").map_err(corrupt)?;
-    let t = r.u64("adam step").map_err(corrupt)?;
-    let n = r.u32("moment tensor count").map_err(corrupt)? as usize;
-    if n > MAX_STATE_TENSORS {
-        return Err(corrupt(format!("implausible moment tensor count {n}")));
-    }
-    let mut moments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = read_tensor(&mut r, "adam m").map_err(corrupt)?;
-        let v = read_tensor(&mut r, "adam v").map_err(corrupt)?;
-        moments.push((m, v));
-    }
-    let ema = match r.u8("ema flag").map_err(corrupt)? {
-        0 => None,
-        1 => {
-            let decay = r.f32("ema decay").map_err(corrupt)?;
-            let n = r.u32("ema tensor count").map_err(corrupt)? as usize;
-            if n > MAX_STATE_TENSORS {
-                return Err(corrupt(format!("implausible EMA tensor count {n}")));
-            }
-            let mut tensors = Vec::with_capacity(n);
-            for _ in 0..n {
-                tensors.push(read_tensor(&mut r, "ema tensor").map_err(corrupt)?);
-            }
+    let decode = || -> Result<DecodedState, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        r.magic(&TRAIN_STATE_MAGIC, "magic")?;
+        r.version(TRAIN_STATE_VERSION..=TRAIN_STATE_VERSION, "version")?;
+        r.verify_trailer("checksum")?;
+        let seed = r.u64("seed")?;
+        let epochs_done = r.u32("epochs_done")?;
+        let t = r.u64("adam step")?;
+        // Each moment pair takes at least its two length fields.
+        let moments = (0..r.count(8, "moment tensor count")?)
+            .map(|_| Ok((r.f32s("adam m")?, r.f32s("adam v")?)))
+            .collect::<Result<_, CodecError>>()?;
+        let ema = if r.flag("ema flag")? {
+            let decay = r.f32("ema decay")?;
+            let tensors = (0..r.count(4, "ema tensor count")?)
+                .map(|_| r.f32s("ema tensor"))
+                .collect::<Result<_, _>>()?;
             Some((decay, tensors))
-        }
-        f => return Err(corrupt(format!("unknown EMA flag {f}"))),
+        } else {
+            None
+        };
+        r.expect_end("train state")?;
+        Ok((seed, epochs_done, AdamState { t, moments }, ema))
     };
-    r.expect_end("train state").map_err(corrupt)?;
-    Ok((seed, epochs_done, AdamState { t, moments }, ema))
+    decode().map_err(|e| PpError::Artifact(ArtifactError::corrupt(key, e.to_string())))
 }
 
 /// Assembles the training set: engine starters, then synthetic
@@ -466,7 +394,7 @@ fn assemble_dataset(
     for name in &spec.datasets {
         let (_, lib_key) = session_keys(name);
         let bytes = store.get(&lib_key)?;
-        let library = PatternLibrary::read_squish(bytes.as_slice())
+        let library = PatternLibrary::read_squish(&bytes)
             .map_err(|e| PpError::Artifact(ArtifactError::corrupt(&lib_key, e.to_string())))?;
         images.extend(library.patterns().iter().map(GrayImage::from_layout));
     }
@@ -522,7 +450,7 @@ impl TrainRun {
                 )));
             }
             let ckpt_bytes = store.get(&ckpt_key)?;
-            let (mut model, lineage) = load_checkpoint_with(ckpt_bytes.as_slice())?;
+            let (mut model, lineage) = load_checkpoint_with(&ckpt_bytes)?;
             if lineage.epoch != epochs_done {
                 return Err(PpError::Artifact(ArtifactError::corrupt(
                     &state_key,

@@ -21,17 +21,20 @@
 //! u64  checksum         FNV-1a over every preceding byte
 //! ```
 //!
-//! All integers are little-endian. [`load_checkpoint`] validates magic,
-//! version, manifest, lineage and checksum, and returns
-//! [`ModelError::Corrupt`] / [`ModelError::Io`] naming the failing
-//! section; a rejected stream never yields a half-built model.
-//! Version-1 streams (written before lineage existed) still load, with
-//! [`CheckpointLineage::default`] (`parent: None, epoch: 0`).
+//! All integers are little-endian (via [`pp_geometry::codec`]); the
+//! layout is unchanged. [`load_checkpoint`] checks magic and version,
+//! then the checksum, *before* any other field, so no manifest field
+//! sizes an allocation unvouched; then it validates the manifest and
+//! lineage and loads the payload through [`DiffusionModel::load_weights`].
+//! Failures are [`ModelError::Corrupt`] / [`ModelError::Io`] naming the
+//! section. Version-1 blobs (pre-lineage) load with
+//! [`CheckpointLineage::default`].
 
 use crate::error::ModelError;
 use crate::model::{DiffusionConfig, DiffusionModel, Parameterization};
 use crate::schedule::BetaSchedule;
-use std::io::{Read, Write};
+use pp_geometry::codec::{ByteReader, ByteWriter, CodecError};
+use std::io::Write;
 
 /// First four bytes of every checkpoint stream.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"PPCK";
@@ -77,93 +80,26 @@ pub fn checkpoint_checksum(bytes: &[u8]) -> Result<u64, ModelError> {
     Ok(u64::from_le_bytes(sum))
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_update(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Forwards writes while folding every byte into an FNV-1a hash.
-struct HashingWriter<W: Write> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        fnv_update(&mut self.hash, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Forwards reads while folding every byte into an FNV-1a hash.
-struct HashingReader<R: Read> {
-    inner: R,
-    hash: u64,
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        fnv_update(&mut self.hash, &buf[..n]);
-        Ok(n)
-    }
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32, section: &str) -> Result<(), ModelError> {
-    w.write_all(&v.to_le_bytes())
-        .map_err(ModelError::io(section))
-}
-
-fn read_u32<R: Read>(r: &mut R, section: &str) -> Result<u32, ModelError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf).map_err(ModelError::io(section))?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn schedule_tag(s: BetaSchedule) -> u8 {
-    match s {
-        BetaSchedule::Linear => 0,
-        BetaSchedule::Cosine => 1,
-    }
-}
-
-fn parameterization_tag(p: Parameterization) -> u8 {
-    match p {
-        Parameterization::X0 => 0,
-        Parameterization::Epsilon => 1,
-    }
-}
-
 /// Writes the manifest encoding of `cfg`: the architecture, schedule
 /// and sampling fields, little-endian, with tagged enums.
 ///
 /// This is the one binary codec for [`DiffusionConfig`] — checkpoints
 /// embed it, and `pp-core`'s engine manifest reuses it, so adding a
 /// field or enum variant is a single edit here.
-///
-/// # Errors
-///
-/// [`ModelError::Io`] naming the field whose write failed.
-pub fn write_config<W: Write>(cfg: &DiffusionConfig, w: &mut W) -> Result<(), ModelError> {
-    write_u32(w, cfg.image, "manifest: image")?;
-    write_u32(w, cfg.base_ch as u32, "manifest: base_ch")?;
-    write_u32(w, cfg.time_dim as u32, "manifest: time_dim")?;
-    write_u32(w, cfg.t_max as u32, "manifest: t_max")?;
-    w.write_all(&[schedule_tag(cfg.schedule)])
-        .map_err(ModelError::io("manifest: schedule"))?;
-    write_u32(w, cfg.ddim_steps as u32, "manifest: ddim_steps")?;
-    w.write_all(&[parameterization_tag(cfg.parameterization)])
-        .map_err(ModelError::io("manifest: parameterization"))
+pub fn write_config(cfg: &DiffusionConfig, w: &mut ByteWriter) {
+    w.u32(cfg.image);
+    w.u32(cfg.base_ch as u32);
+    w.u32(cfg.time_dim as u32);
+    w.u32(cfg.t_max as u32);
+    w.u8(match cfg.schedule {
+        BetaSchedule::Linear => 0,
+        BetaSchedule::Cosine => 1,
+    });
+    w.u32(cfg.ddim_steps as u32);
+    w.u8(match cfg.parameterization {
+        Parameterization::X0 => 0,
+        Parameterization::Epsilon => 1,
+    });
 }
 
 /// Writes `model` as a self-describing, checksummed checkpoint with
@@ -172,109 +108,84 @@ pub fn write_config<W: Write>(cfg: &DiffusionConfig, w: &mut W) -> Result<(), Mo
 ///
 /// # Errors
 ///
-/// [`ModelError::Io`] naming the section whose write failed.
+/// [`ModelError::Io`] when the writer fails.
 pub fn save_checkpoint<W: Write>(model: &mut DiffusionModel, writer: W) -> Result<(), ModelError> {
     save_checkpoint_with(model, writer, CheckpointLineage::default())
 }
 
 /// Writes `model` as a self-describing, checksummed checkpoint carrying
-/// `lineage` (format version 2).
+/// `lineage` (format version 2), in one write of the finished blob.
 ///
 /// # Errors
 ///
-/// [`ModelError::Io`] naming the section whose write failed.
+/// [`ModelError::Io`] when the writer fails.
 pub fn save_checkpoint_with<W: Write>(
     model: &mut DiffusionModel,
-    writer: W,
+    mut writer: W,
     lineage: CheckpointLineage,
 ) -> Result<(), ModelError> {
-    let cfg = model.config();
-    let mut w = HashingWriter {
-        inner: writer,
-        hash: FNV_OFFSET,
-    };
-    w.write_all(&CHECKPOINT_MAGIC)
-        .map_err(ModelError::io("checkpoint: magic"))?;
-    write_u32(&mut w, CHECKPOINT_VERSION, "checkpoint: version")?;
-    write_config(&cfg, &mut w)?;
-    match lineage.parent {
-        None => w
-            .write_all(&[0])
-            .map_err(ModelError::io("lineage: parent flag"))?,
-        Some(parent) => {
-            w.write_all(&[1])
-                .map_err(ModelError::io("lineage: parent flag"))?;
-            w.write_all(&parent.to_le_bytes())
-                .map_err(ModelError::io("lineage: parent checksum"))?;
-        }
-    }
-    write_u32(&mut w, lineage.epoch, "lineage: epoch")?;
-    model.save_weights(&mut w)?;
-    let checksum = w.hash;
-    w.inner
-        .write_all(&checksum.to_le_bytes())
-        .map_err(ModelError::io("checkpoint: checksum"))
+    let mut w = ByteWriter::new();
+    w.bytes(&CHECKPOINT_MAGIC);
+    w.u32(CHECKPOINT_VERSION);
+    write_config(&model.config(), &mut w);
+    w.opt_u64(lineage.parent);
+    w.u32(lineage.epoch);
+    model.encode_weights(&mut w);
+    writer
+        .write_all(&w.seal())
+        .map_err(ModelError::io("checkpoint"))
 }
 
 /// Reads the manifest encoding written by [`write_config`], with every
-/// architecture field sanity-bounded.
-///
-/// The bounds matter because callers typically construct a model from
-/// the result before any checksum can run: a flipped manifest byte
-/// must be caught here rather than via an absurd-size allocation
-/// inside `DiffusionModel::new`. Bounds sit an order of magnitude
-/// beyond anything this system instantiates.
+/// architecture field sanity-bounded an order of magnitude beyond
+/// anything this system instantiates (a checkpoint's checksum has
+/// already vouched for these bytes; an engine manifest has none).
 ///
 /// # Errors
 ///
-/// [`ModelError::Io`] when the reader runs dry,
-/// [`ModelError::Corrupt`] for unknown enum tags or implausible
+/// [`CodecError::Truncated`] when the bytes run out,
+/// [`CodecError::Corrupt`] for unknown enum tags or implausible
 /// dimensions.
-pub fn read_config<R: Read>(r: &mut R) -> Result<DiffusionConfig, ModelError> {
-    let image = read_u32(r, "manifest: image")?;
-    let base_ch = read_u32(r, "manifest: base_ch")? as usize;
-    let time_dim = read_u32(r, "manifest: time_dim")? as usize;
-    let t_max = read_u32(r, "manifest: t_max")? as usize;
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)
-        .map_err(ModelError::io("manifest: schedule"))?;
-    let schedule = match tag[0] {
+pub fn read_config(r: &mut ByteReader<'_>) -> Result<DiffusionConfig, CodecError> {
+    let image = r.u32("manifest: image")?;
+    let base_ch = r.u32("manifest: base_ch")? as usize;
+    let time_dim = r.u32("manifest: time_dim")? as usize;
+    let t_max = r.u32("manifest: t_max")? as usize;
+    let schedule = match r.u8("manifest: schedule")? {
         0 => BetaSchedule::Linear,
         1 => BetaSchedule::Cosine,
         other => {
-            return Err(ModelError::corrupt(
+            return Err(CodecError::corrupt(
                 "manifest: schedule",
                 format!("unknown schedule tag {other}"),
             ))
         }
     };
-    let ddim_steps = read_u32(r, "manifest: ddim_steps")? as usize;
-    r.read_exact(&mut tag)
-        .map_err(ModelError::io("manifest: parameterization"))?;
-    let parameterization = match tag[0] {
+    let ddim_steps = r.u32("manifest: ddim_steps")? as usize;
+    let parameterization = match r.u8("manifest: parameterization")? {
         0 => Parameterization::X0,
         1 => Parameterization::Epsilon,
         other => {
-            return Err(ModelError::corrupt(
+            return Err(CodecError::corrupt(
                 "manifest: parameterization",
                 format!("unknown parameterization tag {other}"),
             ))
         }
     };
     if image == 0 || !image.is_multiple_of(4) || image > 4096 {
-        return Err(ModelError::corrupt(
+        return Err(CodecError::corrupt(
             "manifest: image",
             format!("image side {image} is not a positive multiple of 4 (≤ 4096)"),
         ));
     }
     if base_ch == 0 || time_dim == 0 || t_max == 0 || ddim_steps == 0 {
-        return Err(ModelError::corrupt(
+        return Err(CodecError::corrupt(
             "manifest",
-            "base_ch, time_dim, t_max and ddim_steps must be positive".to_string(),
+            "base_ch, time_dim, t_max and ddim_steps must be positive",
         ));
     }
     if base_ch > 4096 || time_dim > 65536 || t_max > 1_000_000 || ddim_steps > t_max {
-        return Err(ModelError::corrupt(
+        return Err(CodecError::corrupt(
             "manifest",
             format!(
                 "implausible architecture (base_ch {base_ch}, time_dim {time_dim}, \
@@ -300,90 +211,46 @@ pub fn read_config<R: Read>(r: &mut R) -> Result<DiffusionConfig, ModelError> {
 /// # Errors
 ///
 /// See [`load_checkpoint_with`].
-pub fn load_checkpoint<R: Read>(reader: R) -> Result<DiffusionModel, ModelError> {
-    load_checkpoint_with(reader).map(|(model, _)| model)
+pub fn load_checkpoint(bytes: &[u8]) -> Result<DiffusionModel, ModelError> {
+    load_checkpoint_with(bytes).map(|(model, _)| model)
 }
 
 /// Reads a checkpoint written by [`save_checkpoint_with`], rebuilding
 /// the model from the embedded manifest and returning its lineage.
-/// Version-1 streams load with `parent: None, epoch: 0`.
+/// Version-1 blobs load with `parent: None, epoch: 0`.
 ///
 /// # Errors
 ///
-/// [`ModelError::Corrupt`] on bad magic, an unsupported version, an
-/// invalid manifest, a corrupt lineage flag or a checksum mismatch;
-/// [`ModelError::Io`] when the reader fails or the stream is truncated.
-/// Either way no model is returned — corruption cannot produce garbage
-/// weights.
-pub fn load_checkpoint_with<R: Read>(
-    reader: R,
+/// [`ModelError::Corrupt`] on bad magic, an unsupported version, a
+/// checksum mismatch (a blob cut short included), an invalid manifest
+/// or lineage flag, or a payload that disagrees with the manifest;
+/// [`ModelError::Io`] when the blob cannot hold header and trailer.
+pub fn load_checkpoint_with(
+    bytes: &[u8],
 ) -> Result<(DiffusionModel, CheckpointLineage), ModelError> {
-    let mut r = HashingReader {
-        inner: reader,
-        hash: FNV_OFFSET,
-    };
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(ModelError::io("checkpoint: magic"))?;
-    if magic != CHECKPOINT_MAGIC {
-        return Err(ModelError::corrupt(
-            "checkpoint: magic",
-            format!("expected \"PPCK\", got {magic:?}"),
-        ));
-    }
-    let version = read_u32(&mut r, "checkpoint: version")?;
-    if !(1..=CHECKPOINT_VERSION).contains(&version) {
-        return Err(ModelError::corrupt(
-            "checkpoint: version",
-            format!("unsupported version {version} (this build reads 1..={CHECKPOINT_VERSION})"),
-        ));
-    }
+    let mut r = ByteReader::new(bytes);
+    r.magic(&CHECKPOINT_MAGIC, "checkpoint: magic")?;
+    let version = r.version(1..=CHECKPOINT_VERSION, "checkpoint: version")?;
+    r.verify_trailer("checkpoint: checksum")?;
     let cfg = read_config(&mut r)?;
     let lineage = if version >= 2 {
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)
-            .map_err(ModelError::io("lineage: parent flag"))?;
-        let parent = match flag[0] {
-            0 => None,
-            1 => {
-                let mut buf = [0u8; 8];
-                r.read_exact(&mut buf)
-                    .map_err(ModelError::io("lineage: parent checksum"))?;
-                Some(u64::from_le_bytes(buf))
-            }
-            other => {
-                return Err(ModelError::corrupt(
-                    "lineage: parent flag",
-                    format!("unknown parent flag {other}"),
-                ))
-            }
-        };
-        let epoch = read_u32(&mut r, "lineage: epoch")?;
-        CheckpointLineage { parent, epoch }
+        CheckpointLineage {
+            parent: r.opt_u64("lineage: parent flag")?,
+            epoch: r.u32("lineage: epoch")?,
+        }
     } else {
-        // Pre-lineage streams: a root model with no epoch history.
+        // Pre-lineage blobs: a root model with no epoch history.
         CheckpointLineage::default()
     };
     let mut model = DiffusionModel::new(cfg, 0);
-    model.load_weights(&mut r)?;
-    let computed = r.hash;
-    let mut sum = [0u8; 8];
-    r.inner
-        .read_exact(&mut sum)
-        .map_err(ModelError::io("checkpoint: checksum"))?;
-    let stored = u64::from_le_bytes(sum);
-    if stored != computed {
-        return Err(ModelError::corrupt(
-            "checkpoint: checksum",
-            format!("stored {stored:016x}, computed {computed:016x}"),
-        ));
-    }
+    model.load_weights(r.rest())?;
     Ok((model, lineage))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_geometry::codec::fnv1a;
     use pp_geometry::GrayImage;
 
     fn trained_tiny() -> DiffusionModel {
@@ -435,24 +302,36 @@ mod tests {
             "wrong error: {err}"
         );
 
-        // Truncation inside the payload reports the dry section.
+        // A blob cut inside the payload fails the checksum: its last
+        // eight bytes are no longer the trailer.
         let err = load_checkpoint(&bytes[..bytes.len() - 12]).unwrap_err();
-        assert!(matches!(err, ModelError::Io { .. }), "wrong error: {err}");
+        assert!(
+            matches!(&err, ModelError::Corrupt { section, .. } if section == "checkpoint: checksum"),
+            "wrong error: {err}"
+        );
     }
 
     /// Serialises `model` in the retired version-1 layout (no lineage
     /// section) with a correct trailing checksum, byte-compatible with
     /// what pre-v2 builds wrote.
     fn v1_bytes(model: &mut DiffusionModel) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&CHECKPOINT_MAGIC);
-        body.extend_from_slice(&1u32.to_le_bytes());
-        write_config(&model.config(), &mut body).unwrap();
+        let mut w = ByteWriter::new();
+        w.bytes(&CHECKPOINT_MAGIC);
+        w.u32(1);
+        write_config(&model.config(), &mut w);
+        let mut body = w.into_vec();
         model.save_weights(&mut body).unwrap();
-        let mut hash = FNV_OFFSET;
-        fnv_update(&mut hash, &body);
+        let hash = fnv1a(&body);
         body.extend_from_slice(&hash.to_le_bytes());
         body
+    }
+
+    /// Rewrites the trailer after a test corrupts a field, so the
+    /// decode gets past the checksum to the field's own validation.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -507,8 +386,8 @@ mod tests {
     }
 
     /// The lineage section sits right after the 22-byte manifest
-    /// (offset 30): a corrupt parent flag is a typed `Corrupt` naming
-    /// the field, caught before the checksum could even run.
+    /// (offset 30): a corrupt parent flag under a valid checksum is a
+    /// typed `Corrupt` naming the field.
     #[test]
     fn corrupt_lineage_flag_is_rejected() {
         let mut model = trained_tiny();
@@ -525,6 +404,7 @@ mod tests {
         assert_eq!(bytes[30], 1, "parent flag where the layout says");
         let mut bad = bytes.clone();
         bad[30] = 7;
+        reseal(&mut bad);
         let err = load_checkpoint_with(bad.as_slice()).unwrap_err();
         assert!(
             matches!(err, ModelError::Corrupt { .. }),
@@ -570,18 +450,19 @@ mod tests {
         let mut bytes = Vec::new();
         save_checkpoint(&mut model, &mut bytes).unwrap();
         // Corrupt the image side (first manifest field, offset 8) to a
-        // non-multiple of 4. The manifest check fires before any weight
-        // allocation happens.
+        // non-multiple of 4 under a valid checksum. The manifest check
+        // fires before any weight allocation happens.
         let mut bad = bytes.clone();
         bad[8] = 17;
+        reseal(&mut bad);
         let err = load_checkpoint(bad.as_slice()).unwrap_err();
         assert!(err.to_string().contains("image"), "wrong error: {err}");
-        // An absurd base_ch (offset 12) must be rejected *before*
-        // DiffusionModel::new would try to allocate a giant U-Net —
-        // the checksum alone cannot protect this path, since it only
-        // runs after the weights parse.
+        // An absurd base_ch (offset 12) with a valid checksum must still
+        // be rejected *before* DiffusionModel::new would try to allocate
+        // a giant U-Net: FNV-1a is not a MAC.
         let mut bad = bytes.clone();
         bad[12..16].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        reseal(&mut bad);
         let err = load_checkpoint(bad.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("implausible"),

@@ -1,6 +1,7 @@
 //! Typed errors for the model's training, sampling and checkpoint
 //! surface.
 
+use pp_geometry::codec::CodecError;
 use std::fmt;
 use std::io;
 
@@ -13,9 +14,11 @@ use std::io;
 /// [`crate::DiffusionModel::load_weights`], [`crate::save_checkpoint`],
 /// [`crate::load_checkpoint`]) uses the [`ModelError::Io`] and
 /// [`ModelError::Corrupt`] variants, which name the offending section so
-/// a truncated or mismatched stream is diagnosable from the message
-/// alone. [`std::error::Error::source`] on [`ModelError::Io`] exposes
-/// the underlying I/O failure, so error chains reach the root cause.
+/// a truncated or mismatched blob is diagnosable from the message
+/// alone; decode failures arrive as one [`CodecError`] each and convert
+/// through `From`. [`std::error::Error::source`] on [`ModelError::Io`]
+/// exposes the underlying I/O failure, so error chains reach the root
+/// cause.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ModelError {
@@ -65,6 +68,21 @@ impl ModelError {
         ModelError::Corrupt {
             section: section.into(),
             detail: detail.into(),
+        }
+    }
+}
+
+/// Truncation becomes [`ModelError::Io`] with an `UnexpectedEof`
+/// source, bad content [`ModelError::Corrupt`].
+impl From<CodecError> for ModelError {
+    fn from(e: CodecError) -> ModelError {
+        let message = e.to_string();
+        match e {
+            CodecError::Truncated { section, .. } => ModelError::Io {
+                section,
+                source: io::Error::new(io::ErrorKind::UnexpectedEof, message),
+            },
+            CodecError::Corrupt { section, detail } => ModelError::Corrupt { section, detail },
         }
     }
 }

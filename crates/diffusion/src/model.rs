@@ -4,12 +4,16 @@ use crate::ema::EmaShadow;
 use crate::error::ModelError;
 use crate::schedule::{BetaSchedule, NoiseSchedule};
 use crate::unet::{UNet, UNetConfig};
+use pp_geometry::codec::{ByteReader, ByteWriter};
 use pp_geometry::GrayImage;
 use pp_nn::{Adam, Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// First four bytes of every raw weight payload.
+const PPDM_MAGIC: &[u8; 4] = b"PPDM";
 
 /// What the denoiser network predicts.
 ///
@@ -135,8 +139,9 @@ impl DiffusionModel {
         self.unet.param_count()
     }
 
-    /// Serialises the denoiser weights (little-endian f32 stream with a
-    /// small header).
+    /// Serialises the denoiser weights: `"PPDM"`, a `u32` tensor
+    /// count, then each parameter tensor as a `u32` length and its
+    /// little-endian `f32` values.
     ///
     /// This is the raw weight payload; [`crate::save_checkpoint`] wraps
     /// it in a versioned header (format version, shape manifest,
@@ -144,64 +149,47 @@ impl DiffusionModel {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Io`] naming the section whose write failed; `&mut
-    /// W` works wherever `W: Write` is expected.
+    /// [`ModelError::Io`] when the writer fails; `&mut W` works
+    /// wherever `W: Write` is expected.
     pub fn save_weights<W: std::io::Write>(&mut self, mut writer: W) -> Result<(), ModelError> {
+        let mut w = ByteWriter::new();
+        self.encode_weights(&mut w);
         writer
-            .write_all(b"PPDM")
-            .map_err(ModelError::io("weights: magic"))?;
-        let mut bufs: Vec<Vec<f32>> = Vec::new();
-        self.unet.visit_params(&mut |p| bufs.push(p.value.clone()));
-        writer
-            .write_all(&(bufs.len() as u32).to_le_bytes())
-            .map_err(ModelError::io("weights: tensor count"))?;
-        let total = bufs.len();
-        for (i, b) in bufs.into_iter().enumerate() {
-            let section = || format!("weights: tensor {i} of {total}");
-            writer
-                .write_all(&(b.len() as u32).to_le_bytes())
-                .map_err(ModelError::io(section()))?;
-            for v in b {
-                writer
-                    .write_all(&v.to_le_bytes())
-                    .map_err(ModelError::io(section()))?;
-            }
-        }
-        Ok(())
+            .write_all(&w.into_vec())
+            .map_err(ModelError::io("weights"))
+    }
+
+    /// Appends the PPDM payload [`DiffusionModel::save_weights`] writes.
+    pub(crate) fn encode_weights(&mut self, w: &mut ByteWriter) {
+        let mut count = 0u32;
+        self.unet.visit_params(&mut |_| count += 1);
+        w.bytes(PPDM_MAGIC);
+        w.u32(count);
+        self.unet.visit_params(&mut |p| w.f32s(&p.value));
     }
 
     /// Loads weights saved by [`DiffusionModel::save_weights`] into this
     /// model (architectures must match).
     ///
-    /// The whole stream is read and validated against this model's
+    /// The whole payload is read and checked against this model's
     /// parameter shapes *before* anything is applied: a truncated,
-    /// mis-sized or wrong-architecture stream leaves the current
-    /// weights untouched rather than half-overwritten.
+    /// mis-sized or wrong-architecture payload, or one followed by
+    /// trailing bytes, leaves the current weights untouched rather
+    /// than half-overwritten.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Corrupt`] on a bad magic or a tensor count/length
-    /// that disagrees with this architecture; [`ModelError::Io`]
-    /// (naming the section) when the reader fails or runs dry.
-    pub fn load_weights<R: std::io::Read>(&mut self, mut reader: R) -> Result<(), ModelError> {
+    /// [`ModelError::Io`] (naming the section, with an `UnexpectedEof`
+    /// source) when the bytes end early; [`ModelError::Corrupt`] on a
+    /// bad magic, a tensor count or length that disagrees with this
+    /// architecture, or trailing bytes.
+    pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
         let mut expected: Vec<usize> = Vec::new();
         self.unet
             .visit_params(&mut |p| expected.push(p.value.len()));
-        let mut magic = [0u8; 4];
-        reader
-            .read_exact(&mut magic)
-            .map_err(ModelError::io("weights: magic"))?;
-        if &magic != b"PPDM" {
-            return Err(ModelError::corrupt(
-                "weights: magic",
-                format!("expected \"PPDM\", got {magic:?}"),
-            ));
-        }
-        let mut u32buf = [0u8; 4];
-        reader
-            .read_exact(&mut u32buf)
-            .map_err(ModelError::io("weights: tensor count"))?;
-        let count = u32::from_le_bytes(u32buf) as usize;
+        let mut r = ByteReader::new(bytes);
+        r.magic(PPDM_MAGIC, "weights: magic")?;
+        let count = r.u32("weights: tensor count")? as usize;
         if count != expected.len() {
             return Err(ModelError::corrupt(
                 "weights: tensor count",
@@ -214,26 +202,19 @@ impl DiffusionModel {
         let mut bufs = Vec::with_capacity(count);
         for (i, &want) in expected.iter().enumerate() {
             let section = || format!("weights: tensor {i} of {count}");
-            reader
-                .read_exact(&mut u32buf)
-                .map_err(ModelError::io(section()))?;
-            let len = u32::from_le_bytes(u32buf) as usize;
-            if len != want {
+            let values = r.f32s(&section())?;
+            if values.len() != want {
                 return Err(ModelError::corrupt(
                     section(),
-                    format!("stream tensor holds {len} values, architecture expects {want}"),
+                    format!(
+                        "stream tensor holds {} values, architecture expects {want}",
+                        values.len()
+                    ),
                 ));
             }
-            let mut bytes = vec![0u8; len * 4];
-            reader
-                .read_exact(&mut bytes)
-                .map_err(ModelError::io(section()))?;
-            let vals: Vec<f32> = bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            bufs.push(vals);
+            bufs.push(values);
         }
+        r.expect_end("weights: end")?;
         // Everything validated: applying cannot fail halfway.
         let mut i = 0;
         self.unet.visit_params(&mut |p| {

@@ -20,12 +20,14 @@
 //!   (topology bits packed 8-per-byte plus the Δx/Δy width vectors),
 //!   the durable representation the engine's artifact layer persists:
 //!   squish → raster → squish is lossless, so libraries resume with
-//!   identical signatures and statistics.
+//!   identical signatures and statistics. Written and read through
+//!   [`crate::codec`], so the reader is total and canonical.
 
+use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::layout::Layout;
 use crate::squish::SquishPattern;
 use crate::topology::TopologyMatrix;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 
 /// Writes a library of layouts in `PPLIB v1` text format.
 ///
@@ -111,108 +113,98 @@ pub fn read_library<R: BufRead>(reader: R) -> io::Result<Vec<Layout>> {
 /// Magic line opening every `PPSQ v1` stream.
 const PPSQ_MAGIC: &[u8; 8] = b"PPSQ v1\n";
 
-/// Upper bound on topology cells per stored pattern (2¹² per axis,
-/// 2²⁴ cells — far beyond any clip this system rasterises). Corrupt
-/// dimension fields must produce `InvalidData`, never an allocation
-/// sized by attacker-controlled bytes.
+/// Upper bound on topology rows and columns per stored pattern (2¹²
+/// per axis, 2²⁴ cells — far beyond any clip this system rasterises,
+/// and small enough that `rows × cols` cannot overflow).
 const PPSQ_MAX_DIM: usize = 1 << 12;
 
-fn write_u32_seq<W: Write>(writer: &mut W, values: &[u32]) -> io::Result<()> {
-    for &v in values {
-        writer.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
+/// The fewest bytes a stored pattern takes: `rows`, `cols`, one packed
+/// topology byte, one Δx and one Δy.
+const PPSQ_MIN_PATTERN: usize = 4 + 4 + 1 + 4 + 4;
 
 /// Writes squish patterns in the binary `PPSQ v1` format.
 ///
 /// Layout per pattern: `rows: u32`, `cols: u32`, topology cells in
-/// row-major order packed 8-per-byte (zero-padded), then `cols` Δx and
-/// `rows` Δy entries as `u32`. A `count: u32` follows the magic.
+/// row-major order packed 8-per-byte (most significant bit first,
+/// zero-padded), then `cols` Δx and `rows` Δy entries as `u32`. A
+/// `count: u32` follows the magic.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer` (a `&mut W` may be passed).
 pub fn write_squish_library<W: Write>(patterns: &[SquishPattern], mut writer: W) -> io::Result<()> {
-    writer.write_all(PPSQ_MAGIC)?;
-    writer.write_all(&(patterns.len() as u32).to_le_bytes())?;
+    let mut w = ByteWriter::new();
+    w.bytes(PPSQ_MAGIC);
+    w.u32(patterns.len() as u32);
     for p in patterns {
         let t = p.topology();
-        writer.write_all(&(t.rows() as u32).to_le_bytes())?;
-        writer.write_all(&(t.cols() as u32).to_le_bytes())?;
-        let mut byte = 0u8;
-        let mut nbits = 0;
-        for &cell in t.as_cells() {
-            byte = (byte << 1) | u8::from(cell);
-            nbits += 1;
-            if nbits == 8 {
-                writer.write_all(&[byte])?;
-                byte = 0;
-                nbits = 0;
-            }
+        w.u32(t.rows() as u32);
+        w.u32(t.cols() as u32);
+        for cells in t.as_cells().chunks(8) {
+            w.u8(cells
+                .iter()
+                .enumerate()
+                .fold(0, |byte, (i, &cell)| byte | u8::from(cell) << (7 - i)));
         }
-        if nbits > 0 {
-            writer.write_all(&[byte << (8 - nbits)])?;
+        for &d in p.dx().iter().chain(p.dy()) {
+            w.u32(d);
         }
-        write_u32_seq(&mut writer, p.dx())?;
-        write_u32_seq(&mut writer, p.dy())?;
     }
-    Ok(())
+    writer.write_all(&w.into_vec())
 }
 
-/// Reads a library written by [`write_squish_library`].
+/// Reads a library written by [`write_squish_library`]; only the exact
+/// bytes the writer produces decode. Degenerate-but-valid patterns (a
+/// single row or column) round-trip like any other.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on a bad magic, truncated stream, zero
-/// dimensions or zero Δ entries, and propagates I/O errors from
-/// `reader`. Degenerate-but-valid patterns (a single row or column)
-/// round-trip like any other.
-pub fn read_squish_library<R: Read>(mut reader: R) -> io::Result<Vec<SquishPattern>> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != PPSQ_MAGIC {
-        return Err(bad("missing PPSQ v1 magic"));
-    }
-    let mut u32buf = [0u8; 4];
-    let mut read_u32 = |reader: &mut R| -> io::Result<u32> {
-        reader.read_exact(&mut u32buf)?;
-        Ok(u32::from_le_bytes(u32buf))
-    };
-    let count = read_u32(&mut reader)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
+/// `UnexpectedEof` when the bytes end early; `InvalidData` on a bad
+/// magic, zero or out-of-bound dimensions, set padding bits, zero Δ
+/// entries or trailing bytes.
+pub fn read_squish_library(bytes: &[u8]) -> io::Result<Vec<SquishPattern>> {
+    Ok(decode_squish_library(bytes)?)
+}
+
+fn decode_squish_library(bytes: &[u8]) -> Result<Vec<SquishPattern>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    r.magic(PPSQ_MAGIC, "magic")?;
+    let count = r.count(PPSQ_MIN_PATTERN, "pattern count")?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let rows = read_u32(&mut reader)? as usize;
-        let cols = read_u32(&mut reader)? as usize;
-        if rows == 0 || cols == 0 {
-            return Err(bad("zero topology dimension"));
+        let rows = r.u32("rows")? as usize;
+        let cols = r.u32("cols")? as usize;
+        if !(1..=PPSQ_MAX_DIM).contains(&rows) || !(1..=PPSQ_MAX_DIM).contains(&cols) {
+            return Err(CodecError::corrupt(
+                "topology",
+                format!("{rows}×{cols} cells is outside 1..={PPSQ_MAX_DIM} per axis"),
+            ));
         }
-        if rows > PPSQ_MAX_DIM || cols > PPSQ_MAX_DIM {
-            return Err(bad("topology dimension exceeds format bound"));
+        let cells = rows * cols;
+        let packed = r.bytes(cells.div_ceil(8), "topology")?;
+        let padding = packed.len() * 8 - cells;
+        if packed
+            .last()
+            .is_some_and(|&b| b & ((1u8 << padding) - 1) != 0)
+        {
+            return Err(CodecError::corrupt("topology", "non-zero padding bits"));
         }
-        let nbytes = (rows * cols).div_ceil(8);
-        let mut packed = vec![0u8; nbytes];
-        reader.read_exact(&mut packed)?;
-        let mut cells = Vec::with_capacity(rows * cols);
-        for i in 0..rows * cols {
-            let byte = packed[i / 8];
-            cells.push((byte >> (7 - i % 8)) & 1 == 1);
-        }
+        let cells = (0..cells)
+            .map(|i| (packed[i / 8] >> (7 - i % 8)) & 1 == 1)
+            .collect();
         let topology = TopologyMatrix::from_cells(rows, cols, cells);
-        let mut dx = Vec::with_capacity(cols);
-        for _ in 0..cols {
-            dx.push(read_u32(&mut reader)?);
-        }
-        let mut dy = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            dy.push(read_u32(&mut reader)?);
-        }
+        let mut deltas = |n, section| {
+            (0..n)
+                .map(|_| r.u32(section))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let (dx, dy) = (deltas(cols, "dx")?, deltas(rows, "dy")?);
         if dx.iter().chain(&dy).any(|&d| d == 0) {
-            return Err(bad("zero delta entry"));
+            return Err(CodecError::corrupt("deltas", "zero delta entry"));
         }
         out.push(SquishPattern::new(topology, dx, dy));
     }
+    r.expect_end("squish library")?;
     Ok(out)
 }
 
@@ -338,5 +330,38 @@ mod tests {
         let mut empty = Vec::new();
         write_squish_library(&[], &mut empty).unwrap();
         assert!(read_squish_library(empty.as_slice()).unwrap().is_empty());
+    }
+
+    /// Bytes the writer would never produce do not decode: a count
+    /// that leaves patterns unread, bytes after the last pattern, and
+    /// set padding bits in the packed topology.
+    #[test]
+    fn squish_reader_accepts_only_canonical_bytes() {
+        let patterns: Vec<SquishPattern> = sample_lib()
+            .iter()
+            .map(SquishPattern::from_layout)
+            .collect();
+        let mut buf = Vec::new();
+        write_squish_library(&patterns, &mut buf).unwrap();
+        let mut fewer = buf.clone();
+        fewer[8] -= 1;
+        let err = read_squish_library(&fewer).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut longer = buf.clone();
+        longer.push(0);
+        assert!(read_squish_library(&longer).is_err());
+        // One 1×3 pattern packs its three cells into one byte whose
+        // five low bits are padding.
+        let one = SquishPattern::new(
+            TopologyMatrix::from_cells(1, 3, vec![true, false, true]),
+            vec![1, 1, 1],
+            vec![1],
+        );
+        let mut buf = Vec::new();
+        write_squish_library(std::slice::from_ref(&one), &mut buf).unwrap();
+        assert_eq!(buf[20], 0b1010_0000, "topology byte where the layout says");
+        assert_eq!(read_squish_library(&buf).unwrap(), vec![one]);
+        buf[20] |= 1;
+        assert!(read_squish_library(&buf).is_err());
     }
 }

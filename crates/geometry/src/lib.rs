@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod component;
 pub mod image;
 pub mod io;

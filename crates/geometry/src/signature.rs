@@ -1,15 +1,16 @@
 //! Stable content signatures for pattern uniqueness and H2 classes.
 
+use crate::codec::Fnv1a;
 use crate::layout::Layout;
 use crate::squish::SquishPattern;
 use serde::{Deserialize, Serialize};
 
 /// A 64-bit content hash identifying a pattern (or part of one).
 ///
-/// Signatures use the FNV-1a hash over a canonical byte encoding, so they
-/// are stable across runs, platforms and process restarts — unlike
-/// `std::collections` hashes, which are randomised. Two signature flavours
-/// are used by the metrics crate:
+/// Signatures use the shared FNV-1a ([`crate::codec::fnv1a`]) over a
+/// canonical byte encoding, so they are stable across runs, platforms
+/// and process restarts — unlike `std::collections` hashes, which are
+/// randomised. Two signature flavours are used by the metrics crate:
 ///
 /// * [`Signature::of_squish`] — full identity (topology + Δx + Δy); defines
 ///   "unique patterns" in Table I.
@@ -29,40 +30,12 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Signature(pub u64);
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Incremental FNV-1a hasher over byte chunks.
-#[derive(Debug, Clone)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 impl Signature {
     /// Signature of a raw layout raster.
     pub fn of_layout(layout: &Layout) -> Signature {
-        let mut h = Fnv::new();
-        h.write_u32(layout.width());
-        h.write_u32(layout.height());
+        let mut h = Fnv1a::default();
+        h.write(&layout.width().to_le_bytes());
+        h.write(&layout.height().to_le_bytes());
         // Pack bits 8-per-byte for speed and canonical form.
         let mut byte = 0u8;
         let mut nbits = 0;
@@ -83,31 +56,31 @@ impl Signature {
 
     /// Full squish identity: topology cells plus both Δ vectors.
     pub fn of_squish(pattern: &SquishPattern) -> Signature {
-        let mut h = Fnv::new();
-        h.write_u32(pattern.topology().rows() as u32);
-        h.write_u32(pattern.topology().cols() as u32);
+        let mut h = Fnv1a::default();
+        h.write(&(pattern.topology().rows() as u32).to_le_bytes());
+        h.write(&(pattern.topology().cols() as u32).to_le_bytes());
         for &c in pattern.topology().as_cells() {
             h.write(&[u8::from(c)]);
         }
         for &d in pattern.dx() {
-            h.write_u32(d);
+            h.write(&d.to_le_bytes());
         }
         h.write(b"|");
         for &d in pattern.dy() {
-            h.write_u32(d);
+            h.write(&d.to_le_bytes());
         }
         Signature(h.finish())
     }
 
     /// Geometry-only signature over `(Δx, Δy)` — the H2 class key.
     pub fn of_deltas(pattern: &SquishPattern) -> Signature {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::default();
         for &d in pattern.dx() {
-            h.write_u32(d);
+            h.write(&d.to_le_bytes());
         }
         h.write(b"|");
         for &d in pattern.dy() {
-            h.write_u32(d);
+            h.write(&d.to_le_bytes());
         }
         Signature(h.finish())
     }

@@ -38,24 +38,33 @@ impl SynthNode {
     ///
     /// # Panics
     ///
-    /// Panics if the clip does not fit at least two tracks, or the pitch
-    /// cannot host a wide wire plus minimum spacing.
+    /// Panics where [`SynthNode::try_new`] fails: a bad literal node is
+    /// a programming error.
     pub fn new(clip: u32, pitch: u32) -> Self {
-        let first_track = pitch / 2;
-        assert!(
-            first_track + pitch < clip,
-            "clip must fit at least two tracks"
-        );
-        assert!(pitch >= WIDTH_WIDE + 3, "pitch too small for wide wires");
-        let rules = Self::advanced_deck();
-        let basic_rules = Self::basic_deck();
-        SynthNode {
+        SynthNode::try_new(clip, pitch).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a node from parameters read from a stored manifest.
+    ///
+    /// # Errors
+    ///
+    /// When the pitch cannot host a wide wire plus minimum spacing, or
+    /// the clip cannot fit two [`SynthNode::track_centers`].
+    pub fn try_new(clip: u32, pitch: u32) -> Result<Self, String> {
+        if pitch < WIDTH_WIDE + 3 {
+            return Err(format!("pitch {pitch} too small for wide wires"));
+        }
+        // Track 1's centre plus half a pitch, in u64 against overflow.
+        if u64::from(pitch / 2) * 2 + u64::from(pitch) > u64::from(clip) {
+            return Err(format!("clip {clip} must fit at least two tracks"));
+        }
+        Ok(SynthNode {
             clip,
             pitch,
-            first_track,
-            rules,
-            basic_rules,
-        }
+            first_track: pitch / 2,
+            rules: Self::advanced_deck(),
+            basic_rules: Self::basic_deck(),
+        })
     }
 
     /// A 16×16 node for fast tests (two tracks).
@@ -195,5 +204,27 @@ mod tests {
     #[should_panic(expected = "at least two tracks")]
     fn tiny_clip_rejected() {
         let _ = SynthNode::new(8, 8);
+    }
+
+    /// `try_new` accepts exactly the nodes whose pitch hosts a wide
+    /// wire and whose clip holds the two tracks the starter patterns
+    /// index; the presets stay valid.
+    #[test]
+    fn try_new_accepts_exactly_the_two_track_nodes() {
+        assert_eq!(SynthNode::try_new(16, 8), Ok(SynthNode::small()));
+        assert_eq!(SynthNode::try_new(32, 8), Ok(SynthNode::default()));
+        for clip in 0..80 {
+            for pitch in WIDTH_WIDE + 3..40 {
+                // The `track_centers` rule, counted independently.
+                let tracks = (0..)
+                    .map(|i| pitch / 2 + i * pitch)
+                    .take_while(|&x| x + pitch / 2 <= clip)
+                    .count();
+                let node = SynthNode::try_new(clip, pitch);
+                assert_eq!(node.is_ok(), tracks >= 2, "clip {clip}, pitch {pitch}");
+            }
+            assert!(SynthNode::try_new(clip, WIDTH_WIDE + 2).is_err());
+        }
+        assert!(SynthNode::try_new(u32::MAX, u32::MAX).is_err());
     }
 }
