@@ -14,7 +14,7 @@ use pp_solver::{LegalizeSolver, SolverConfig, SolverSetting};
 /// diffusion over the binary matrix; this port reuses the repository's
 /// x0-predicting pixel diffusion at topology resolution with a final
 /// threshold, which preserves the pipeline structure (sample topology →
-/// solve Δ geometry → check) that the comparison targets. See DESIGN.md.
+/// solve Δ geometry → check) that the comparison targets.
 ///
 /// # Example
 ///

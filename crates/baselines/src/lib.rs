@@ -13,7 +13,8 @@
 //! * [`DiffPatternBaseline`] — DiffPattern (Wang et al., DAC'23):
 //!   diffusion over topology rasters (our port uses the same x0-predicting
 //!   denoiser as the main model, trained unconditionally at topology
-//!   resolution; the paper's version is categorical — see DESIGN.md).
+//!   resolution; the paper's version is categorical — see the
+//!   faithfulness note on [`DiffPatternBaseline`]).
 //!
 //! Generated topologies are legalized with the solver under its
 //! complex-discrete setting and then judged against the **full**

@@ -10,27 +10,28 @@
 //!
 //! Modes:
 //!
-//! * `serial_tail_naive` — `gemm::set_force_naive(true)`: the shipped
-//!   pre-rework tail (denoise to raster, re-squish for DRC, re-squish
-//!   again on library insert), serial. The baseline, analogous to
-//!   `per_sample_naive` in `sampling_bench`.
+//! * `serial_tail_naive` — the pre-rework tail as a loop in this file
+//!   over the same replayed raws through the public stage calls:
+//!   `denoise_sample` (denoise to raster), `is_legal` (re-squish for
+//!   DRC), then `PatternLibrary::insert` (re-squish again), serial.
+//!   The baseline.
 //! * `serial_tail_fused` — the reworked single-squish tail (canonical
 //!   squish straight from the denoiser, squish-space DRC, signature
 //!   reuse, lazy rasterisation), still serial.
 //! * `parallel_tail_2` / `parallel_tail_4` — the same fused tail fanned
 //!   out over 2/4 tail workers with in-order admission.
 //!
-//! Since the engine redesign every mode runs as an `Engine` session
-//! (sampler override = the replay sampler), i.e. through the same code
-//! path a multi-tenant service drives; the harness internals are
-//! unchanged, so trajectories stay comparable with pre-engine runs.
+//! The fused modes run as an `Engine` session (sampler override = the
+//! replay sampler), i.e. through the same code path a multi-tenant
+//! service drives.
 //!
 //! Every mode must produce bit-identical libraries (asserted here).
 //! The headline ratio `parallel_tail_vs_serial_tail` compares
 //! `parallel_tail_4` against `serial_tail_naive` — per PERF.md, compare
-//! ratios, not seconds. A `pca_fit` probe times `Pca::fit` on flattened
-//! 32×32 libraries of {200, 2000} patterns under naive vs blocked
-//! kernels (the selection half of the rework).
+//! ratios, not seconds. A `pca_fit` probe times the nested-loop
+//! `Pca::fit_reference` against the GEMM `Pca::fit` on flattened 32×32
+//! libraries of {200, 2000} patterns (the selection half of the
+//! rework).
 //!
 //! Run: `cargo run --release -p pp-bench --bin round_bench`
 //! (`PP_BENCH_JOBS=n` scales the round; `PP_BENCH_SMOKE=1` skips the
@@ -38,14 +39,13 @@
 
 #![forbid(unsafe_code)]
 
-use patternpaint_core::stages::{DrcValidator, SampleStream, Sampler};
+use patternpaint_core::stages::{DrcValidator, PatternDenoiser, SampleStream, Sampler, Validator};
 use patternpaint_core::{
     Engine, GenerationRequest, JobSet, PatternLibrary, PipelineConfig, PpError, RawSample,
     StreamOptions,
 };
 use pp_geometry::{GrayImage, Layout, Rect};
 use pp_inpaint::{MaskSet, TemplateDenoiser};
-use pp_nn::gemm;
 use pp_pdk::SynthNode;
 use pp_selection::Pca;
 use rand::rngs::StdRng;
@@ -152,18 +152,34 @@ struct ModeResult {
     counts: (usize, usize),
 }
 
+impl ModeResult {
+    fn new(
+        name: &'static str,
+        seconds: f64,
+        counts: (usize, usize),
+        library: PatternLibrary,
+    ) -> Self {
+        let jobs = counts.0 as f64;
+        ModeResult {
+            name,
+            seconds,
+            samples_per_sec: jobs / seconds,
+            ns_per_sample: seconds * 1e9 / jobs,
+            library,
+            counts,
+        }
+    }
+}
+
 /// Runs one timed round through an engine `Session` (the
-/// engine-backed service path); internally this is the same
-/// `run_round_into` harness the bare functions drive, so numbers stay
-/// comparable with pre-engine trajectories.
+/// engine-backed service path): the fused tail on `tail_threads`
+/// workers.
 fn run_mode(
     name: &'static str,
     engine: &Engine,
     request: &GenerationRequest,
     tail_threads: usize,
-    naive: bool,
 ) -> ModeResult {
-    gemm::set_force_naive(naive);
     let opts = StreamOptions::default().with_tail_threads(tail_threads);
     // Warm-up pass (allocator pools, page faults), then the timed run.
     let mut warm = engine.session().with_options(opts.clone());
@@ -172,16 +188,34 @@ fn run_mode(
     let t0 = Instant::now();
     let counts = session.run_request(request).expect("round runs");
     let seconds = t0.elapsed().as_secs_f64();
-    gemm::set_force_naive(false);
-    let jobs = request.jobs().len() as f64;
-    ModeResult {
-        name,
-        seconds,
-        samples_per_sec: jobs / seconds,
-        ns_per_sample: seconds * 1e9 / jobs,
-        library: session.into_library(),
-        counts,
-    }
+    ModeResult::new(name, seconds, counts, session.into_library())
+}
+
+/// Times the pre-rework tail over `raws` after one warm-up pass, like
+/// [`run_mode`]: each sample denoised to a raster, judged by the raster
+/// DRC, then inserted, so every admitted pattern is squished twice more.
+fn run_naive_mode(
+    raws: &[RawSample],
+    denoiser: &dyn PatternDenoiser,
+    validator: &dyn Validator,
+) -> ModeResult {
+    let tail = || {
+        let mut library = PatternLibrary::new();
+        let mut legal = 0;
+        for sample in raws {
+            let denoised = denoiser.denoise_sample(sample);
+            if validator.is_legal(&denoised) {
+                legal += 1;
+                library.insert(denoised);
+            }
+        }
+        ((raws.len(), legal), library)
+    };
+    let _ = tail();
+    let t0 = Instant::now();
+    let (counts, library) = tail();
+    let seconds = t0.elapsed().as_secs_f64();
+    ModeResult::new("serial_tail_naive", seconds, counts, library)
 }
 
 /// Synthetic wire-soup libraries for the PCA probe.
@@ -204,11 +238,9 @@ fn pca_library(n: usize, side: u32, seed: u64) -> Vec<Vec<f32>> {
 fn pca_probe(n: usize, side: u32) -> serde_json::Value {
     let data = pca_library(n, side, 0x9e37 + n as u64);
     // Match the selector's configuration: 90 % explained, 32 components.
-    gemm::set_force_naive(true);
     let t0 = Instant::now();
-    let naive = Pca::fit(&data, 0.9, 32, 7);
+    let naive = Pca::fit_reference(&data, 0.9, 32, 7);
     let naive_s = t0.elapsed().as_secs_f64();
-    gemm::set_force_naive(false);
     let t0 = Instant::now();
     let fast = Pca::fit(&data, 0.9, 32, 7);
     let fast_s = t0.elapsed().as_secs_f64();
@@ -216,7 +248,7 @@ fn pca_probe(n: usize, side: u32) -> serde_json::Value {
         // Float reassociation near the explained-variance cut can
         // legitimately shift the kept count by one; report, don't die.
         eprintln!(
-            "note: component count differs across kernels ({} naive vs {} gemm)",
+            "note: component count differs ({} reference vs {} gemm)",
             naive.n_components(),
             fast.n_components()
         );
@@ -255,26 +287,26 @@ fn main() {
     let variations = (jobs_target / (starters.len() * masks.len())).max(1);
     let request = GenerationRequest::fan_out(&starters, &masks, variations, 0x1217);
     let jobs = request.jobs().len();
-    let replay = ReplaySampler {
-        raws: JitterSampler
-            .sample(request.jobs(), request.seed())
-            .expect("jitter sampler cannot fail"),
-    };
-    // One shared engine snapshot serves every mode, with the replay
-    // sampler standing in for the diffusion stage.
+    let raws = JitterSampler
+        .sample(request.jobs(), request.seed())
+        .expect("jitter sampler cannot fail");
+    let denoiser = TemplateDenoiser::new(cfg.denoise_threshold);
+    let validator = DrcValidator::new(node.rules().clone());
+    // One shared engine snapshot serves every fused mode, with the
+    // replay sampler standing in for the diffusion stage.
     let engine = Engine::builder(node.clone(), cfg)
-        .sampler(replay)
-        .denoiser(TemplateDenoiser::new(cfg.denoise_threshold))
-        .validator(DrcValidator::new(node.rules().clone()))
+        .sampler(ReplaySampler { raws: raws.clone() })
+        .denoiser(denoiser)
+        .validator(validator.clone())
         .untrained_engine()
         .expect("standard config is valid");
 
     #[rustfmt::skip]
     let modes = [
-        run_mode("serial_tail_naive", &engine, &request, 0, true),
-        run_mode("serial_tail_fused", &engine, &request, 0, false),
-        run_mode("parallel_tail_2", &engine, &request, 2, false),
-        run_mode("parallel_tail_4", &engine, &request, 4, false),
+        run_naive_mode(&raws, &denoiser, &validator),
+        run_mode("serial_tail_fused", &engine, &request, 0),
+        run_mode("parallel_tail_2", &engine, &request, 2),
+        run_mode("parallel_tail_4", &engine, &request, 4),
     ];
 
     // The whole point of the in-order admitter: every mode's library is

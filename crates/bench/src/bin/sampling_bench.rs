@@ -5,13 +5,9 @@
 //!
 //! 1. **pretrain-tiny** — a short training run of the tiny model
 //!    (exercises forward + backward + Adam through the GEMM kernels);
-//! 2. **64-job inpaint batch** on the standard 32×32 model, in three
+//! 2. **64-job inpaint batch** on the standard 32×32 model, in these
 //!    modes:
-//!    * `per_sample_naive` — batch size 1 through the scalar reference
-//!      kernels (the pre-GEMM per-sample path this repository shipped
-//!      before the batching rework);
-//!    * `per_sample_gemm` — batch size 1 through the blocked kernels
-//!      (isolates the GEMM win);
+//!    * `per_sample_gemm` — batch size 1 through the blocked kernels;
 //!    * `batched_gemm` — micro-batched through the blocked kernels
 //!      (the blocking batch path; adds the batching win);
 //!    * `engine_sched` — the same jobs through an Engine scheduler,
@@ -44,9 +40,10 @@
 //!    two replicas must reach [`FLEET_N2_FLOOR`] × one replica's
 //!    aggregate samples/s, or the run exits 1 (smoke mode included).
 //!
-//! All modes run the same worker-thread count, so the reported speedup
-//! is purely kernels + batching. Results go to `BENCH_sampling.json` at
-//! the repository root (schema in PERF.md) and stdout.
+//! All modes run the same worker-thread count, so the gap between
+//! `per_sample_gemm` and `batched_gemm` is purely batching. Results go
+//! to `BENCH_sampling.json` at the repository root (schema in PERF.md)
+//! and stdout.
 //!
 //! Run: `cargo run --release -p pp-bench --bin sampling_bench`
 //! (`PP_BENCH_JOBS=n` shrinks the batch; `PP_BENCH_SMOKE=1` also skips
@@ -63,7 +60,7 @@ use patternpaint_core::{
 use pp_diffusion::{DiffusionModel, UNet, UNetConfig};
 use pp_geometry::GrayImage;
 use pp_inpaint::MaskSet;
-use pp_nn::{gemm, AvgPool2, Conv2d, GroupNorm, Layer, Tensor, Workspace};
+use pp_nn::{AvgPool2, Conv2d, GroupNorm, Layer, Tensor, Workspace};
 use pp_pdk::SynthNode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,9 +89,7 @@ fn run_mode(
     jobs: &[(GrayImage, GrayImage)],
     threads: usize,
     batch_size: usize,
-    naive: bool,
 ) -> ModeResult {
-    gemm::set_force_naive(naive);
     // Warm up allocator pools and caches on a small prefix.
     let _ = model
         .sample_inpaint_batch_sized(&jobs[..threads.min(jobs.len())], 1, threads, batch_size)
@@ -104,7 +99,6 @@ fn run_mode(
         .sample_inpaint_batch_sized(jobs, 42, threads, batch_size)
         .expect("jobs are well-formed");
     let seconds = t0.elapsed().as_secs_f64();
-    gemm::set_force_naive(false);
     assert_eq!(out.len(), jobs.len());
     let steps = (jobs.len() * model.config().ddim_steps) as f64;
     ModeResult {
@@ -528,18 +522,8 @@ fn main() {
     let reference = model
         .sample_inpaint_batch_sized(&jobs, 42, threads, cfg.batch_size)
         .expect("jobs are well-formed");
-    let naive_mode = run_mode("per_sample_naive", &model, &jobs, threads, 1, true);
-    let per_gemm_mode = run_mode("per_sample_gemm", &model, &jobs, threads, 1, false);
-    let run_batched = || {
-        run_mode(
-            "batched_gemm",
-            &model,
-            &jobs,
-            threads,
-            cfg.batch_size,
-            false,
-        )
-    };
+    let per_gemm_mode = run_mode("per_sample_gemm", &model, &jobs, threads, 1);
+    let run_batched = || run_mode("batched_gemm", &model, &jobs, threads, cfg.batch_size);
     // The engine-backed path: the same jobs through an Engine
     // scheduler, the dispatcher both shared sessions and solo
     // `DiffusionSampler` rounds stream through. Same weights (seed 0),
@@ -753,7 +737,6 @@ fn main() {
     let (qos_mode, qos_stats) = qos_best;
     let (faulted_mode, faulted_stats, faulted_retries) = faulted_best;
     let modes: Vec<ModeResult> = vec![
-        naive_mode,
         per_gemm_mode,
         batched_mode,
         engine_mode,
@@ -1023,10 +1006,8 @@ fn main() {
             m.name, m.seconds, m.samples_per_sec, m.ns_per_step
         );
     }
-    let speedup = modes[2].samples_per_sec / modes[0].samples_per_sec;
     let faulted_vs_qos = faulted_ratio / qos_ratio;
     println!();
-    println!("batched_gemm vs per_sample_naive (pre-rework path): {speedup:.2}x");
     println!("engine_sched vs batched_gemm (shared-scheduler overhead): {engine_ratio:.2}x");
     println!("qos_sched vs batched_gemm (front door + policy + tail overhead): {qos_ratio:.2}x");
     println!(
@@ -1162,7 +1143,6 @@ fn main() {
         "config": config,
         "pretrain_tiny": pretrain,
         "modes": mode_rows,
-        "speedup_batched_vs_per_sample_naive": speedup,
         "engine_sched_vs_batched": engine_ratio,
         "qos_sched_vs_batched": qos_ratio,
         "qos_sched_stats": qos_stats_row,

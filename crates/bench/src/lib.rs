@@ -1,8 +1,7 @@
 //! Shared harness for regenerating every table and figure of the
 //! PatternPaint evaluation.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md's
-//! experiment index):
+//! Each binary in `src/bin/` reproduces one artifact:
 //!
 //! | target | artifact |
 //! |---|---|
@@ -122,7 +121,8 @@ pub fn cached_pipeline(variant: Variant, cfg: &PipelineConfig) -> PatternPaint {
     pp
 }
 
-/// Writes a JSON report next to the repository root for EXPERIMENTS.md.
+/// Writes a JSON report to `bench_results/<name>.json` at the repository
+/// root.
 pub fn dump_json(name: &str, value: &serde_json::Value) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     let _ = fs::create_dir_all(&dir);

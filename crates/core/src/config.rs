@@ -72,7 +72,7 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// The configuration used for the headline experiments (32×32 clips,
-    /// counts scaled ~20× down from the paper; see EXPERIMENTS.md).
+    /// counts scaled ~20× down from the paper).
     pub fn standard() -> Self {
         PipelineConfig {
             model: DiffusionConfig::standard(32),

@@ -838,7 +838,7 @@ impl Session {
             decode(&store.get(&meta_key)?)
                 .map_err(|e| ArtifactError::corrupt(&meta_key, e.to_string()))?;
         let lib_bytes = store.get(&lib_key)?;
-        let library = PatternLibrary::read_squish(&lib_bytes)
+        let library = PatternLibrary::read_squish(&lib_bytes, engine.node().clip())
             .map_err(|e| PpError::Artifact(ArtifactError::corrupt(&lib_key, e.to_string())))?;
         let session = engine
             .session_seeded(seed)

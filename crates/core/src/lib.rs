@@ -170,8 +170,8 @@ pub use scheduler::{
 };
 pub use service::{Service, ServiceOptions, ServiceStats};
 pub use stages::{
-    denoise_and_admit, run_round, run_round_into, DiffusionSampler, DrcValidator, PatternDenoiser,
-    SampleStream, Sampler, Selector, Validator,
+    run_round, run_round_into, DiffusionSampler, DrcValidator, PatternDenoiser, SampleStream,
+    Sampler, Selector, Validator,
 };
 pub use stream::{CancelToken, GenerationRequest, Progress, ProgressHook, StreamOptions};
 pub use train::{ExportWeights, TrainRun, TrainSpec, TrainSummary};

@@ -133,23 +133,33 @@ impl PatternLibrary {
         write_squish_library(&squishes, writer)
     }
 
-    /// Reads a library written by [`PatternLibrary::write_squish`].
+    /// Reads a library of `clip × clip` patterns written by
+    /// [`PatternLibrary::write_squish`].
     ///
     /// # Errors
     ///
-    /// As [`read_squish_library`], plus `InvalidData` when the stored
+    /// As [`read_squish_library`], plus `InvalidData` when a stored
+    /// pattern's Δx or Δy entries do not sum to `clip` (checked before
+    /// the pattern is rasterised, so a corrupt width costs no raster),
+    /// when a pattern is not in the canonical squish form
+    /// [`PatternLibrary::write_squish`] writes, or when the stored
     /// library contains duplicate patterns (a library is deduplicated
     /// by construction, so duplicates mean the artifact was tampered
     /// with).
-    pub fn read_squish(bytes: &[u8]) -> io::Result<PatternLibrary> {
+    pub fn read_squish(bytes: &[u8], clip: u32) -> io::Result<PatternLibrary> {
+        let invalid = |msg| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let side = |deltas: &[u32]| deltas.iter().map(|&d| u64::from(d)).sum::<u64>();
         let squishes = read_squish_library(bytes)?;
         let mut library = PatternLibrary::new();
         for s in &squishes {
+            if side(s.dx()) != u64::from(clip) || side(s.dy()) != u64::from(clip) {
+                return Err(invalid("stored pattern is not clip-sized"));
+            }
+            if s.canonicalize() != *s {
+                return Err(invalid("stored pattern is not in canonical squish form"));
+            }
             if !library.insert(s.to_layout()) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stored library contains duplicate patterns",
-                ));
+                return Err(invalid("stored library contains duplicate patterns"));
             }
         }
         Ok(library)
@@ -253,14 +263,20 @@ mod tests {
 
     #[test]
     fn squish_persistence_roundtrip_exact() {
+        let node = pp_pdk::SynthNode::default();
+        let clip = node.clip();
         let mut lib = PatternLibrary::new();
-        for p in pp_pdk::SynthNode::default().starter_patterns() {
+        for p in node.starter_patterns() {
             lib.insert(p);
         }
-        lib.insert(wire(2));
+        let mut extra = Layout::new(clip, clip);
+        extra.fill_rect(Rect::new(2, 2, 3, 10));
+        lib.insert(extra);
         let mut bytes = Vec::new();
         lib.write_squish(&mut bytes).unwrap();
-        let back = PatternLibrary::read_squish(bytes.as_slice()).unwrap();
+        let back = PatternLibrary::read_squish(bytes.as_slice(), clip).unwrap();
+        // Patterns of another size are rejected before rasterising.
+        assert!(PatternLibrary::read_squish(bytes.as_slice(), clip + 1).is_err());
         assert_eq!(back.patterns(), lib.patterns());
         let (a, b) = (lib.stats(), back.stats());
         assert_eq!((a.count, a.unique), (b.count, b.unique));
@@ -273,7 +289,7 @@ mod tests {
         let body = dup[12..].to_vec(); // past "PPSQ v1\n" + count
         dup[8..12].copy_from_slice(&2u32.to_le_bytes());
         dup.extend_from_slice(&body);
-        assert!(PatternLibrary::read_squish(dup.as_slice()).is_err());
+        assert!(PatternLibrary::read_squish(dup.as_slice(), 16).is_err());
     }
 
     proptest::proptest! {
@@ -305,7 +321,7 @@ mod tests {
 
             let mut bytes = Vec::new();
             lib.write_squish(&mut bytes).unwrap();
-            let back = PatternLibrary::read_squish(bytes.as_slice()).unwrap();
+            let back = PatternLibrary::read_squish(bytes.as_slice(), 16).unwrap();
             prop_assert_eq!(back.patterns(), lib.patterns());
             for (a, b) in lib.patterns().iter().zip(back.patterns()) {
                 let sa = SquishPattern::from_layout(a);

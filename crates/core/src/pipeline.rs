@@ -104,7 +104,7 @@ impl PatternPaint {
 
     /// Builds a default-stage pipeline around a freshly *pretrained*
     /// base model (trains on the synthetic foundation corpus — the
-    /// stand-in for a public SD checkpoint; see DESIGN.md).
+    /// stand-in for a public SD checkpoint).
     ///
     /// # Errors
     ///

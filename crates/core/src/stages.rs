@@ -400,36 +400,6 @@ pub(crate) fn run_round_into_partial(
     )
 }
 
-/// The per-sample tail of every round: denoise, then validate into the
-/// library. One definition so `run_round_into` and
-/// [`crate::PatternPaint::validate_into`] cannot drift apart.
-///
-/// Runs the fused single-squish tail (denoise to canonical squish form,
-/// judge legality on it, reuse squish + signature for admission) unless
-/// `pp_nn::gemm::force_naive` is active, in which case the pre-rework
-/// rasterise / re-squish / re-squish sequence runs instead so benchmark
-/// baselines keep measuring the shipped pre-optimisation path. Both
-/// paths produce bit-identical libraries and counts, and neither calls
-/// [`Validator::admit`] — admission semantics are the same `is_legal` +
-/// dedup-insert regardless of kernel flags.
-pub fn denoise_and_admit(
-    denoiser: &dyn PatternDenoiser,
-    validator: &dyn Validator,
-    sample: &RawSample,
-    library: &mut PatternLibrary,
-) -> bool {
-    if pp_nn::gemm::force_naive() {
-        let denoised = denoiser.denoise_sample(sample);
-        let legal = validator.is_legal(&denoised);
-        if legal {
-            library.insert(denoised);
-        }
-        return legal;
-    }
-    let verdict = tail::prepare(denoiser, validator, sample, None);
-    tail::admit(verdict, library)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

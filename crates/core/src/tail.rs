@@ -13,17 +13,11 @@
 //!   out to `tail_threads` preparers and reassembles verdicts **in job
 //!   order**, so library contents and insertion order are bit-identical
 //!   to the serial path for every thread count.
-//!
-//! When `pp_nn::gemm::set_force_naive` is active the tail always runs
-//! the pre-rework serial sequence (denoise to raster, re-squish for DRC,
-//! re-squish again on insert) so benchmarks can measure the shipped
-//! pre-optimisation baseline on the same build — mirroring what the
-//! flag already does to the GEMM/im2col hot paths.
 
 use crate::error::PpError;
 use crate::library::PatternLibrary;
 use crate::pipeline::RawSample;
-use crate::stages::{denoise_and_admit, PatternDenoiser, SampleStream, Validator};
+use crate::stages::{PatternDenoiser, SampleStream, Validator};
 use pp_geometry::{scan_lines_x, scan_lines_y, Layout, Signature, SquishPattern};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -71,23 +65,16 @@ pub(crate) struct TailVerdict {
     legal: bool,
 }
 
-/// Denoises and judges one sample without touching the library.
-///
-/// Pass a [`TemplateLineCache`] when processing many samples; `None`
-/// recomputes the template scan lines (one-shot callers).
+/// Denoises and judges one sample without touching the library, with
+/// the template scan lines drawn from the caller's `cache`.
 pub(crate) fn prepare(
     denoiser: &dyn PatternDenoiser,
     validator: &dyn Validator,
     sample: &RawSample,
-    cache: Option<&mut TemplateLineCache>,
+    cache: &mut TemplateLineCache,
 ) -> TailVerdict {
-    let squish = match cache {
-        Some(cache) => {
-            let (lt_x, lt_y) = cache.lines(&sample.template);
-            denoiser.denoise_squish_sample_with_lines(sample, lt_x, lt_y)
-        }
-        None => denoiser.denoise_squish_sample(sample),
-    };
+    let (lt_x, lt_y) = cache.lines(&sample.template);
+    let squish = denoiser.denoise_squish_sample_with_lines(sample, lt_x, lt_y);
     let (legal, layout) = match validator.is_legal_squish(&squish) {
         Some(legal) => (legal, None),
         None => {
@@ -131,10 +118,9 @@ pub(crate) fn admit(verdict: TailVerdict, library: &mut PatternLibrary) -> bool 
 /// and counted, which is what lets a timed-out or aborted round report
 /// its partial results instead of pretending nothing happened.
 ///
-/// `tail_threads == 0` (or an active `force_naive`) runs on the calling
-/// thread; otherwise a pool of `tail_threads` workers prepares samples
-/// concurrently while the calling thread admits verdicts strictly in
-/// job order.
+/// `tail_threads == 0` runs on the calling thread; otherwise a pool of
+/// `tail_threads` workers prepares samples concurrently while the
+/// calling thread admits verdicts strictly in job order.
 pub(crate) fn consume(
     stream: SampleStream,
     denoiser: &dyn PatternDenoiser,
@@ -142,22 +128,6 @@ pub(crate) fn consume(
     tail_threads: usize,
     library: &mut PatternLibrary,
 ) -> ((usize, usize), Option<PpError>) {
-    if pp_nn::gemm::force_naive() {
-        // The pre-rework tail: serial, rasterising, re-squishing.
-        let mut generated = 0;
-        let mut legal = 0;
-        for sample in stream {
-            let sample = match sample {
-                Ok(s) => s,
-                Err(e) => return ((generated, legal), Some(e)),
-            };
-            generated += 1;
-            if denoise_and_admit(denoiser, validator, &sample, library) {
-                legal += 1;
-            }
-        }
-        return ((generated, legal), None);
-    }
     if tail_threads == 0 {
         return consume_serial(stream, denoiser, validator, library);
     }
@@ -165,7 +135,7 @@ pub(crate) fn consume(
 }
 
 /// [`consume`] over an in-memory batch (the `validate_into` entry
-/// point). Honors `force_naive` and `tail_threads` identically.
+/// point). Honors `tail_threads` identically.
 pub(crate) fn consume_batch(
     samples: &[RawSample],
     denoiser: &dyn PatternDenoiser,
@@ -174,15 +144,7 @@ pub(crate) fn consume_batch(
     library: &mut PatternLibrary,
 ) -> (usize, usize) {
     let items = samples.iter().map(Ok);
-    let (counts, error) = if pp_nn::gemm::force_naive() {
-        let mut legal = 0;
-        for sample in samples {
-            if denoise_and_admit(denoiser, validator, sample, library) {
-                legal += 1;
-            }
-        }
-        ((samples.len(), legal), None)
-    } else if tail_threads == 0 {
+    let (counts, error) = if tail_threads == 0 {
         consume_serial(items, denoiser, validator, library)
     } else {
         consume_parallel(items, denoiser, validator, tail_threads, library)
@@ -213,7 +175,7 @@ where
             Err(e) => return ((generated, legal), Some(e)),
         };
         generated += 1;
-        let verdict = prepare(denoiser, validator, sample.borrow(), Some(&mut cache));
+        let verdict = prepare(denoiser, validator, sample.borrow(), &mut cache);
         if admit(verdict, library) {
             legal += 1;
         }
@@ -298,7 +260,7 @@ where
                         .into_iter()
                         .map(|item| {
                             item.map(|sample| {
-                                prepare(denoiser, validator, sample.borrow(), Some(&mut cache))
+                                prepare(denoiser, validator, sample.borrow(), &mut cache)
                             })
                         })
                         .collect();

@@ -394,7 +394,7 @@ fn assemble_dataset(
     for name in &spec.datasets {
         let (_, lib_key) = session_keys(name);
         let bytes = store.get(&lib_key)?;
-        let library = PatternLibrary::read_squish(&bytes)
+        let library = PatternLibrary::read_squish(&bytes, engine.node().clip())
             .map_err(|e| PpError::Artifact(ArtifactError::corrupt(&lib_key, e.to_string())))?;
         images.extend(library.patterns().iter().map(GrayImage::from_layout));
     }

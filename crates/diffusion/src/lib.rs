@@ -1,8 +1,8 @@
 //! Pixel-space diffusion and inpainting over layout rasters.
 //!
 //! This crate is the stand-in for the pretrained Stable Diffusion
-//! inpainting checkpoints of the PatternPaint paper (see DESIGN.md for the
-//! substitution argument). It implements, from scratch on `pp-nn`:
+//! inpainting checkpoints of the PatternPaint paper. It implements, from
+//! scratch on `pp-nn`:
 //!
 //! * [`NoiseSchedule`] — DDPM forward process `q(x_t | x_0)` with linear
 //!   or cosine β schedules;
@@ -14,10 +14,10 @@
 //!   (paper Eq. 7), and DDIM sampling with RePaint-style known-region
 //!   conditioning (paper Eq. 8).
 //!
-//! The denoiser is x0-parameterised (it predicts the clean image rather
-//! than the noise), which is markedly more stable at the few DDIM steps
-//! used on near-binary layout images; `pp-bench --bench ablations`
-//! quantifies that choice.
+//! The denoiser is x0-parameterised by default (it predicts the clean
+//! image rather than the noise), chosen for stability at the few DDIM
+//! steps used on near-binary layout images. ε-prediction remains a model
+//! option ([`Parameterization`]); no bench measures the difference.
 //!
 //! # Example
 //!

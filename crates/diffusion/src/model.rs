@@ -17,10 +17,10 @@ const PPDM_MAGIC: &[u8; 4] = b"PPDM";
 
 /// What the denoiser network predicts.
 ///
-/// x0-prediction is markedly more stable at the few DDIM steps used on
-/// near-binary layout images (the repository default); ε-prediction is
-/// the classic DDPM objective, kept for the ablation called out in
-/// DESIGN.md.
+/// x0-prediction is the repository default, chosen for stability at the
+/// few DDIM steps used on near-binary layout images. ε-prediction, the
+/// classic DDPM objective, remains a model option; no bench measures the
+/// difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Parameterization {
     /// Predict the clean image `x̂0`.

@@ -2,113 +2,19 @@
 //!
 //! Pattern libraries outlive a process: DFM teams hand generated
 //! libraries to OPC/hotspot flows as files. Real flows use GDSII/OASIS;
-//! this reproduction ships two formats:
-//!
-//! * `PPLIB v1` — a minimal line-oriented text raster format that
-//!   round-trips exactly and diffs cleanly in review tools:
-//!
-//!   ```text
-//!   PPLIB v1
-//!   pattern 32 32
-//!   <one '#'/'.' row per line>
-//!   ...
-//!   end
-//!   ```
-//!
-//! * `PPSQ v1` ([`write_squish_library`] / [`read_squish_library`]) —
-//!   a compact little-endian binary format over *squish* patterns
-//!   (topology bits packed 8-per-byte plus the Δx/Δy width vectors),
-//!   the durable representation the engine's artifact layer persists:
-//!   squish → raster → squish is lossless, so libraries resume with
-//!   identical signatures and statistics. Written and read through
-//!   [`crate::codec`], so the reader is total and canonical.
+//! this reproduction ships one format, `PPSQ v1`
+//! ([`write_squish_library`] / [`read_squish_library`]): a compact
+//! little-endian binary format over *squish* patterns (topology bits
+//! packed 8-per-byte plus the Δx/Δy width vectors), the durable
+//! representation the engine's artifact layer persists: squish → raster
+//! → squish is lossless, so libraries resume with identical signatures
+//! and statistics. Written and read through [`crate::codec`], so the
+//! reader is total and canonical.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::layout::Layout;
 use crate::squish::SquishPattern;
 use crate::topology::TopologyMatrix;
-use std::io::{self, BufRead, Write};
-
-/// Writes a library of layouts in `PPLIB v1` text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `writer` (a `&mut W` may be passed).
-pub fn write_library<W: Write>(layouts: &[Layout], mut writer: W) -> io::Result<()> {
-    writeln!(writer, "PPLIB v1")?;
-    for l in layouts {
-        writeln!(writer, "pattern {} {}", l.width(), l.height())?;
-        for y in 0..l.height() {
-            let row: String = (0..l.width())
-                .map(|x| if l.get(x, y) { '#' } else { '.' })
-                .collect();
-            writeln!(writer, "{row}")?;
-        }
-    }
-    writeln!(writer, "end")
-}
-
-/// Reads a library written by [`write_library`].
-///
-/// # Errors
-///
-/// Returns `InvalidData` on malformed headers, dimensions or rows, and
-/// propagates I/O errors from `reader`.
-pub fn read_library<R: BufRead>(reader: R) -> io::Result<Vec<Layout>> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-    let mut lines = reader.lines();
-    match lines.next() {
-        Some(Ok(h)) if h.trim() == "PPLIB v1" => {}
-        _ => return Err(bad("missing PPLIB v1 header")),
-    }
-    let mut out = Vec::new();
-    loop {
-        let header = match lines.next() {
-            Some(Ok(l)) => l,
-            Some(Err(e)) => return Err(e),
-            None => return Err(bad("unexpected EOF before 'end'")),
-        };
-        let header = header.trim();
-        if header == "end" {
-            return Ok(out);
-        }
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("pattern") {
-            return Err(bad("expected 'pattern W H' or 'end'"));
-        }
-        let w: u32 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad("bad pattern width"))?;
-        let h: u32 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad("bad pattern height"))?;
-        if w == 0 || h == 0 {
-            return Err(bad("zero pattern dimension"));
-        }
-        let mut bits = Vec::with_capacity((w * h) as usize);
-        for _ in 0..h {
-            let row = match lines.next() {
-                Some(Ok(l)) => l,
-                Some(Err(e)) => return Err(e),
-                None => return Err(bad("truncated pattern rows")),
-            };
-            let row = row.trim_end();
-            if row.chars().count() != w as usize {
-                return Err(bad("row width mismatch"));
-            }
-            for ch in row.chars() {
-                match ch {
-                    '#' => bits.push(true),
-                    '.' => bits.push(false),
-                    _ => return Err(bad("unexpected character in row")),
-                }
-            }
-        }
-        out.push(Layout::from_bits(w, h, bits));
-    }
-}
+use std::io::{self, Write};
 
 /// Magic line opening every `PPSQ v1` stream.
 const PPSQ_MAGIC: &[u8; 8] = b"PPSQ v1\n";
@@ -211,6 +117,7 @@ fn decode_squish_library(bytes: &[u8]) -> Result<Vec<SquishPattern>, CodecError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Layout;
     use crate::rect::Rect;
     use crate::signature::Signature;
 
@@ -220,47 +127,6 @@ mod tests {
         let mut b = Layout::new(5, 5);
         b.fill_rect(Rect::new(0, 0, 5, 2));
         vec![a, b]
-    }
-
-    #[test]
-    fn roundtrip() {
-        let lib = sample_lib();
-        let mut buf = Vec::new();
-        write_library(&lib, &mut buf).unwrap();
-        let back = read_library(buf.as_slice()).unwrap();
-        assert_eq!(back, lib);
-    }
-
-    #[test]
-    fn empty_library_roundtrip() {
-        let mut buf = Vec::new();
-        write_library(&[], &mut buf).unwrap();
-        assert!(read_library(buf.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn rejects_missing_header() {
-        assert!(read_library("pattern 2 2\n##\n##\nend\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let mut buf = Vec::new();
-        write_library(&sample_lib(), &mut buf).unwrap();
-        let cut = &buf[..buf.len() / 2];
-        assert!(read_library(cut).is_err());
-    }
-
-    #[test]
-    fn rejects_ragged_rows() {
-        let text = "PPLIB v1\npattern 3 2\n###\n##\nend\n";
-        assert!(read_library(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_characters() {
-        let text = "PPLIB v1\npattern 2 1\n#x\nend\n";
-        assert!(read_library(text.as_bytes()).is_err());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod topology;
 
 pub use component::{connected_components, Component};
 pub use image::GrayImage;
-pub use io::{read_library, read_squish_library, write_library, write_squish_library};
+pub use io::{read_squish_library, write_squish_library};
 pub use layout::Layout;
 pub use rect::Rect;
 pub use signature::Signature;

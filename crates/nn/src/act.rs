@@ -147,20 +147,13 @@ unsafe fn silu_avx(dst: &mut [f32], src: &[f32], affine: Option<Affine>) -> usiz
 }
 
 /// Writes `silu(src)` into `dst`, or `silu(affine(src))` when `affine`
-/// is given: libm reference when [`crate::gemm::force_naive`] is set,
-/// the polynomial kernel otherwise (vectorised where the CPU allows).
+/// is given, through the polynomial kernel (vectorised where the CPU
+/// allows).
 ///
 /// Plain SiLU never runs through an identity affine step: `1·x + 0`
 /// turns −0.0 into +0.0.
 pub(crate) fn silu_into(dst: &mut [f32], src: &[f32], affine: Option<Affine>) {
     let pre = |v: f32| affine.map_or(v, |a| a.apply(v));
-    if crate::gemm::force_naive() {
-        for (o, &v) in dst.iter_mut().zip(src) {
-            let v = pre(v);
-            *o = v * sigmoid(v);
-        }
-        return;
-    }
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {

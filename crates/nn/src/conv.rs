@@ -18,9 +18,7 @@
 //!
 //! Backward keeps the explicit im2col matrix and the transposed GEMMs.
 
-use crate::gemm::{
-    self, pack_a, sgemm_naive, sgemm_nt, sgemm_tn, ALayout, Kernel, Run, KC, NR_MAX,
-};
+use crate::gemm::{pack_a, sgemm_nt, sgemm_tn, ALayout, Kernel, Run, KC, NR_MAX};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -90,12 +88,8 @@ impl Conv2d {
     ///
     /// Each (channel, tap, row) strip is one contiguous copy of
     /// `w − |shift|` pixels plus zeroed edges, instead of a per-pixel
-    /// branch; the per-pixel reference below is kept for the
-    /// [`crate::gemm::set_force_naive`] baseline and the tests.
+    /// branch; the tests check it against a per-pixel reference.
     fn im2col(&self, x: &Tensor, n: usize, col: &mut [f32]) {
-        if crate::gemm::force_naive() {
-            return self.im2col_reference(x, n, col);
-        }
         let (h, w) = (x.h(), x.w());
         let k = self.k;
         let pad = k / 2;
@@ -122,39 +116,6 @@ impl Conv2d {
                         dst[..d0].fill(0.0);
                         dst[d0 + len..].fill(0.0);
                         dst[d0..d0 + len].copy_from_slice(&plane[sy * w + s0..sy * w + s0 + len]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Per-pixel reference im2col (the pre-rework implementation).
-    fn im2col_reference(&self, x: &Tensor, n: usize, col: &mut [f32]) {
-        let (h, w) = (x.h(), x.w());
-        let k = self.k;
-        let pad = k / 2;
-        let hw = h * w;
-        for ic in 0..self.in_c {
-            let plane = x.plane(n, ic);
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((ic * k + ky) * k + kx) * hw;
-                    for oy in 0..h {
-                        let iy = oy + ky;
-                        let out_row = row + oy * w;
-                        if iy < pad || iy >= h + pad {
-                            col[out_row..out_row + w].fill(0.0);
-                            continue;
-                        }
-                        let sy = iy - pad;
-                        for ox in 0..w {
-                            let ix = ox + kx;
-                            col[out_row + ox] = if ix < pad || ix >= w + pad {
-                                0.0
-                            } else {
-                                plane[sy * w + (ix - pad)]
-                            };
-                        }
                     }
                 }
             }
@@ -193,9 +154,6 @@ impl Conv2d {
     /// The forward body shared by `forward` and `forward_infer`, with
     /// scratch and the output buffer drawn from `ws`.
     fn run_forward(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if gemm::force_naive() {
-            return self.forward_reference(x, ws);
-        }
         self.forward_implicit(Kernel::detect(), x, ws)
     }
 
@@ -308,25 +266,6 @@ impl Conv2d {
         })
     }
 
-    /// The force-naive forward: per sample, the reference im2col and
-    /// [`sgemm_naive`], then the bias — the pre-optimisation path the
-    /// benchmarks measure against.
-    fn forward_reference(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.c(), self.in_c, "input channel mismatch");
-        let (n, h, w) = (x.n(), x.h(), x.w());
-        let hw = h * w;
-        let ick = self.in_c * self.k * self.k;
-        let mut col = ws.take(ick * hw);
-        let mut out = Tensor::from_vec([n, self.out_c, h, w], ws.take(n * self.out_c * hw));
-        for (b, ob) in out.data_mut().chunks_exact_mut(self.out_c * hw).enumerate() {
-            self.im2col_reference(x, b, &mut col);
-            sgemm_naive(self.out_c, ick, hw, &self.weight.value, &col, ob, 0.0);
-            self.add_bias(ob, hw, 0, hw);
-        }
-        ws.give(col);
-        out
-    }
-
     /// Adds each channel's bias to pixels `j0..j0 + cols` of one
     /// sample's output planes (`ob`, `[out_c][hw]`).
     fn add_bias(&self, ob: &mut [f32], hw: usize, j0: usize, cols: usize) {
@@ -391,7 +330,7 @@ impl Layer for Conv2d {
         let mut ws = std::mem::take(&mut self.scratch);
         let mut gx = Tensor::zeros(x.shape());
         // A 1×1 same-padding conv's im2col matrix *is* the input.
-        let direct = self.k == 1 && !gemm::force_naive();
+        let direct = self.k == 1;
         let mut col = if direct {
             Vec::new()
         } else {
@@ -617,6 +556,39 @@ mod tests {
         }
     }
 
+    /// The per-pixel im2col the strip-copy `im2col` replaced.
+    fn im2col_reference(conv: &Conv2d, x: &Tensor, n: usize, col: &mut [f32]) {
+        let (h, w) = (x.h(), x.w());
+        let k = conv.k;
+        let pad = k / 2;
+        let hw = h * w;
+        for ic in 0..conv.in_c {
+            let plane = x.plane(n, ic);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = ((ic * k + ky) * k + kx) * hw;
+                    for oy in 0..h {
+                        let iy = oy + ky;
+                        let out_row = row + oy * w;
+                        if iy < pad || iy >= h + pad {
+                            col[out_row..out_row + w].fill(0.0);
+                            continue;
+                        }
+                        let sy = iy - pad;
+                        for ox in 0..w {
+                            let ix = ox + kx;
+                            col[out_row + ox] = if ix < pad || ix >= w + pad {
+                                0.0
+                            } else {
+                                plane[sy * w + (ix - pad)]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn im2col_fast_matches_reference() {
         for &(ic, k, h, w) in &[
@@ -632,7 +604,7 @@ mod tests {
             let mut reference = vec![-7.0f32; len];
             for b in 0..2 {
                 conv.im2col(&x, b, &mut fast);
-                conv.im2col_reference(&x, b, &mut reference);
+                im2col_reference(&conv, &x, b, &mut reference);
                 assert_eq!(fast, reference, "ic={ic} k={k} {h}x{w} sample {b}");
             }
         }

@@ -32,8 +32,7 @@
 //! pointer is checked with `assert!`, in release builds too.
 //!
 //! A scalar reference implementation ([`sgemm_naive`] and friends) backs
-//! the unit tests and the `force_naive` switch used by `pp-bench` to
-//! measure the pre-GEMM baseline.
+//! the unit tests.
 //!
 //! # Example
 //!
@@ -54,8 +53,6 @@
 // obscure the kernel shape.
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 /// Rows per register tile of the public GEMMs (6×16 f32 = 12 ymm
 /// accumulators on AVX2), on every instruction set.
 const MR: usize = 6;
@@ -68,8 +65,6 @@ pub(crate) const NR_MAX: usize = NR_512;
 /// k-slice depth: a 32-wide B panel of this depth is 32 KiB and an
 /// 8-row A panel 8 KiB, so both stay in L1/L2 while a tile runs.
 pub(crate) const KC: usize = 256;
-
-static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
 
 /// Whether the AVX2+FMA micro-kernels are usable on this CPU (checked
 /// once; the portable kernel is the fallback everywhere else).
@@ -96,23 +91,6 @@ fn cpu_has_avx512f() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 fn cpu_has_avx512f() -> bool {
     false
-}
-
-/// Routes the hot kernels through their scalar reference
-/// implementations: the `sgemm*` entry points, and `Conv2d`'s forward
-/// (per-sample reference im2col + [`sgemm_naive`] instead of the
-/// implicit-GEMM driver) and backward (reference im2col).
-///
-/// Benchmarks use this to measure the pre-optimisation per-sample
-/// baseline on the exact same code path; it is not meant for production
-/// use.
-pub fn set_force_naive(enabled: bool) {
-    FORCE_NAIVE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether [`set_force_naive`] is active.
-pub fn force_naive() -> bool {
-    FORCE_NAIVE.load(Ordering::Relaxed)
 }
 
 #[inline]
@@ -695,9 +673,6 @@ fn gemm_nx(
 ///
 /// Panics when a slice length does not match its shape.
 pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    if force_naive() {
-        return sgemm_naive(m, k, n, a, b, c, beta);
-    }
     gemm_nx(m, k, n, a, ALayout::Normal, b, c, beta);
 }
 
@@ -707,9 +682,6 @@ pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], 
 ///
 /// Panics when a slice length does not match its shape.
 pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    if force_naive() {
-        return sgemm_tn_naive(m, k, n, a, b, c, beta);
-    }
     gemm_nx(m, k, n, a, ALayout::Transposed, b, c, beta);
 }
 
@@ -722,9 +694,6 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
 ///
 /// Panics when a slice length does not match its shape.
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    if force_naive() {
-        return sgemm_nt_naive(m, k, n, a, b, c, beta);
-    }
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), n * k, "B must be n×k");
     assert_eq!(c.len(), m * n, "C must be m×n");
@@ -814,7 +783,7 @@ unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Scalar reference `C = A·B + β·C` (tests and the force-naive path).
+/// Scalar reference `C = A·B + β·C`, which the unit tests compare against.
 pub fn sgemm_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
     scale_c(c, beta);
     for i in 0..m {
@@ -1038,8 +1007,4 @@ mod tests {
             assert!(short_c.is_err(), "{kern:?} wrote past C");
         }
     }
-
-    // The force_naive switch is process-global, so its routing test
-    // lives in tests/force_naive.rs: a separate test binary runs in its
-    // own process and cannot race the bitwise-equality tests here.
 }

@@ -12,11 +12,9 @@
 //! each subspace iteration runs as two `pp_nn::gemm` calls — `W = XᶜBᵀ`
 //! (`sgemm_nt`) then `B ← WᵀXᶜ / n` (`sgemm_tn`) with the basis stored
 //! as component rows `[k, d]` — so the fit rides the same blocked
-//! AVX-512/AVX2 kernels as the sampler. Under
-//! `pp_nn::gemm::set_force_naive` the scalar reference kernels run
-//! instead, reproducing the pre-rework nested-loop arithmetic exactly
-//! (same reduction order), which is what the benchmark baseline and the
-//! `pca_gemm_matches_reference` pin test rely on.
+//! AVX-512/AVX2 kernels as the sampler. The pre-rework nested-loop fit
+//! stays as [`Pca::fit_reference`]: the `pca_gemm` test checks the fit
+//! against it, and `pp-bench`'s `round_bench` times the fit against it.
 
 use crate::error::SelectionError;
 use pp_nn::gemm;
@@ -199,9 +197,9 @@ impl Pca {
     }
 
     /// The pre-GEMM nested-loop fit, kept verbatim as the arithmetic
-    /// reference: `fit_checked` under `gemm::set_force_naive` must
-    /// reproduce it bit for bit (enforced by the `pca_gemm` integration
-    /// test). Not part of the public API.
+    /// reference the `pca_gemm` integration test compares the fit
+    /// against, and the baseline `round_bench` times. Not part of the
+    /// public API.
     #[doc(hidden)]
     pub fn fit_reference(
         data: &[Vec<f32>],
@@ -343,8 +341,7 @@ impl Pca {
     /// Projects many samples at once: one `[n, d]·[d, k]` GEMM instead
     /// of `n·k` scalar dot products. Agrees with mapping
     /// [`Pca::transform`] to float rounding (the blocked kernels split
-    /// dot products across several accumulators); under
-    /// `gemm::set_force_naive` the two are bit-identical.
+    /// dot products across several accumulators).
     ///
     /// # Panics
     ///

@@ -4,70 +4,48 @@
 //! dot products of the newly chosen sample against the whole feature
 //! matrix as one skinny `[n, d]·[d, 1]` GEMM and recovers Euclidean
 //! distances from precomputed row norms
-//! (`‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`). Under
-//! `pp_nn::gemm::set_force_naive` the original per-pair difference loop
-//! runs instead, preserving the pre-rework arithmetic for benchmark
-//! baselines. Both paths are deterministic in `seed`; picks can differ
-//! between them only by float rounding on near-ties.
+//! (`‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`). Selection is deterministic in
+//! `seed`.
 
 use pp_nn::gemm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Distance backend for one selection run.
-enum Distances<'a> {
-    /// The pre-rework per-pair loop (the `force_naive` baseline).
-    Reference(&'a [Vec<f32>]),
-    /// GEMM dots + row norms.
-    Gemm {
-        flat: Vec<f32>,
-        norms: Vec<f32>,
-        dim: usize,
-        /// Dot products of the last prepared sample against all rows.
-        dots: Vec<f32>,
-    },
+/// GEMM dots and row norms for one selection run.
+struct Distances {
+    flat: Vec<f32>,
+    norms: Vec<f32>,
+    dim: usize,
+    /// Dot products of the last prepared sample against all rows.
+    dots: Vec<f32>,
 }
 
-impl<'a> Distances<'a> {
-    fn new(features: &'a [Vec<f32>]) -> Self {
-        if gemm::force_naive() {
-            return Distances::Reference(features);
-        }
-        let dim = features.first().map_or(0, Vec::len);
-        let flat: Vec<f32> = features.concat();
-        let norms: Vec<f32> = features
-            .iter()
-            .map(|f| f.iter().map(|&v| v * v).sum())
-            .collect();
-        Distances::Gemm {
-            flat,
-            norms,
-            dim,
+impl Distances {
+    fn new(features: &[Vec<f32>]) -> Self {
+        Distances {
+            flat: features.concat(),
+            norms: features
+                .iter()
+                .map(|f| f.iter().map(|&v| v * v).sum())
+                .collect(),
+            dim: features.first().map_or(0, Vec::len),
             dots: vec![0.0; features.len()],
         }
     }
 
     /// Makes `chosen` the reference point for subsequent [`Self::to`]
-    /// calls (one GEMM over the whole matrix on the fast path).
+    /// calls: one GEMM over the whole matrix.
     fn prepare(&mut self, chosen: usize) {
-        if let Distances::Gemm {
-            flat, dim, dots, ..
-        } = self
-        {
-            let n = dots.len();
-            let b = &flat[chosen * *dim..(chosen + 1) * *dim];
-            gemm::sgemm_nt(n, *dim, 1, flat, b, dots, 0.0);
-        }
+        let (n, dim) = (self.dots.len(), self.dim);
+        let b = &self.flat[chosen * dim..(chosen + 1) * dim];
+        gemm::sgemm_nt(n, dim, 1, &self.flat, b, &mut self.dots, 0.0);
     }
 
     /// Euclidean distance from the prepared sample to row `i`.
     fn to(&self, chosen: usize, i: usize) -> f32 {
-        match self {
-            Distances::Reference(features) => euclidean(&features[i], &features[chosen]),
-            Distances::Gemm { norms, dots, .. } => {
-                (norms[i] + norms[chosen] - 2.0 * dots[i]).max(0.0).sqrt()
-            }
-        }
+        (self.norms[i] + self.norms[chosen] - 2.0 * self.dots[i])
+            .max(0.0)
+            .sqrt()
     }
 }
 
@@ -135,14 +113,6 @@ where
         selected.push(chosen);
     }
     selected
-}
-
-fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum::<f32>()
-        .sqrt()
 }
 
 #[cfg(test)]

@@ -31,8 +31,9 @@
 //! }
 //! ```
 //!
-//! See `examples/quickstart.rs` for an end-to-end generation run and
-//! `DESIGN.md` / `EXPERIMENTS.md` for the experiment inventory.
+//! See `examples/quickstart.rs` for an end-to-end generation run and the
+//! `pp-bench` crate for the binaries that regenerate the paper's tables
+//! and figures.
 
 #![forbid(unsafe_code)]
 

@@ -6,7 +6,8 @@
 //! libraries). Each is built here through the public API on the tiny
 //! preset and decoded through the entry point that reads it in
 //! production (PPEG through `Engine::open`, PPSS through
-//! `Session::resume`, PPTS through `TrainRun::prepare`). For each:
+//! `Session::resume`, PPTS through `TrainRun::prepare`; PPSQ both bare
+//! and, as a session library, through `Session::resume`). For each:
 //!
 //! * decoding the encoded blob and encoding the result gives the blob;
 //! * every truncation decodes to a typed error;
@@ -29,7 +30,7 @@
 //! allocator.
 
 use patternpaint::core::{
-    ArtifactStore, Engine, ExportWeights, JobSpec, MemStore, PatternPaint, PipelineConfig,
+    ArtifactStore, Engine, ExportWeights, JobSpec, MemStore, PatternPaint, PipelineConfig, PpError,
     QosClass, RetryPolicy, Session, TrainRun, TrainSpec, ENGINE_META_KEY, ENGINE_MODEL_KEY,
 };
 use patternpaint::pdk::SynthNode;
@@ -417,6 +418,71 @@ fn ppss_session_manifest() {
         }),
     }
     .check();
+}
+
+/// The session library through `Session::resume`, with the manifest
+/// fixed: a stored pattern is rasterised only once its Δ entries sum to
+/// the engine's clip and it is in canonical squish form.
+#[test]
+fn ppsq_session_library() {
+    let (engine, store) = fixture();
+    let meta = get(&store, "session-golden.meta");
+    let probe = MemStore::new();
+    probe.put("session-golden.meta", &meta).unwrap();
+    Format {
+        name: "PPSQ session",
+        blob: get(&store, "session-golden.ppsq"),
+        companion: meta.len(),
+        sealed: false,
+        decode: Box::new(|library: &[u8]| {
+            probe.put("session-golden.ppsq", library).unwrap();
+            Session::resume(&engine, &probe, "golden")
+        }),
+        encode: Box::new(|session: Session| {
+            let out = MemStore::new();
+            session.save(&out, "golden").expect("session saves");
+            get(&out, "session-golden.ppsq")
+        }),
+    }
+    .check();
+}
+
+/// Bit 24 of the session library's first Δx widens its first pattern
+/// by 2²⁴ pixels. A train job's dataset ingest rejects it with a typed
+/// error before rasterising it.
+#[test]
+fn ppsq_wide_dataset_pattern_is_rejected_before_rasterising() {
+    let (engine, store) = fixture();
+    let mut library = get(&store, "session-golden.ppsq");
+    let word = |bytes: &[u8], at: usize| {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
+    };
+    let cells = word(&library, 12) as usize * word(&library, 16) as usize;
+    let dx0 = 20 + cells.div_ceil(8);
+    assert!(
+        (1..=engine.node().clip()).contains(&word(&library, dx0)),
+        "the first Δx where the layout says"
+    );
+    library[dx0 + 3] ^= 1;
+    let probe = MemStore::new();
+    probe.put("session-golden.ppsq", &library).unwrap();
+    let spec = TrainSpec::new("wide").with_dataset("golden");
+    let (out, allocated) = measured(|| {
+        matches!(
+            TrainRun::prepare(&engine, &probe, &spec, 3),
+            Err(PpError::Artifact(_))
+        )
+    });
+    assert_eq!(
+        out,
+        Some(true),
+        "decoded, panicked or gave an untyped error"
+    );
+    let bound = ALLOC_FACTOR * library.len() as u64 + ALLOC_SLACK;
+    assert!(
+        allocated <= bound,
+        "allocated {allocated} bytes (bound {bound})"
+    );
 }
 
 #[test]

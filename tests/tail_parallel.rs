@@ -66,6 +66,35 @@ fn validate_into_parallel_matches_serial() {
     assert_eq!(parallel_lib.patterns(), serial_lib.patterns());
 }
 
+/// The fused tail (canonical squish from the denoiser, squish-space DRC,
+/// signature reuse) admits exactly what the raster tail admits: each
+/// sample denoised to a raster, judged by `is_legal`, then inserted.
+#[test]
+fn fused_tail_matches_the_raster_tail() {
+    let pp = tiny_pipeline();
+    let request = pp.initial_request();
+    let raw = pp
+        .generate_jobs(request.jobs(), request.seed())
+        .expect("jobs run");
+    let mut fused = PatternLibrary::new();
+    let fused_counts = pp.validate_into(&raw, &mut fused);
+    let mut raster = PatternLibrary::new();
+    let mut legal = 0;
+    for sample in &raw {
+        let denoised = pp.denoiser().denoise_sample(sample);
+        if pp.validator().is_legal(&denoised) {
+            legal += 1;
+            raster.insert(denoised);
+        }
+    }
+    assert_eq!(fused_counts, (raw.len(), legal));
+    assert!(!raster.is_empty(), "tiny round found nothing");
+    assert_eq!(fused.patterns(), raster.patterns());
+    let (a, b) = (fused.stats(), raster.stats());
+    assert_eq!(a.h1, b.h1);
+    assert_eq!(a.h2, b.h2);
+}
+
 /// Wraps a sampler, recording every sample its stream delivers.
 struct RecordingSampler {
     inner: Arc<dyn Sampler>,
