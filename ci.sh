@@ -35,9 +35,10 @@ RUST_BACKTRACE=1 cargo test -q
 
 # The SIMD kernels, the B-panel gather, their length asserts and the
 # bit-identity suites again in the codegen the benchmarks measure, with
-# debug_assert!s compiled out.
-echo "==> cargo test --release -q -p pp-nn -p pp-diffusion"
-RUST_BACKTRACE=1 cargo test --release -q -p pp-nn -p pp-diffusion
+# debug_assert!s compiled out. pp-selection's pca_gemm checks the PCA
+# and the selector's distances, which run the NT dot tiles.
+echo "==> cargo test --release -q -p pp-nn -p pp-diffusion -p pp-selection"
+RUST_BACKTRACE=1 cargo test --release -q -p pp-nn -p pp-diffusion -p pp-selection
 
 echo "==> cargo run -p pp-analyze (static analysis)"
 cargo run -q -p pp-analyze

@@ -34,7 +34,10 @@
 //!    through `Conv2d::forward_infer` at batch width 16 (ms per call,
 //!    GF/s), every GroupNorm→SiLU pass and both pools the same way,
 //!    next to a whole `UNet::forward_infer` at that width, so each
-//!    layer's share of a forward is measured rather than assumed.
+//!    layer's share of a forward is measured rather than assumed; and
+//!    the training side at the finetune batch (4): every convolution's
+//!    `forward` then `backward` (ms each, backward GF/s) next to one
+//!    `UNet::forward` + `backward` step (`train_step_ms`).
 //! 4. **replicas** — width-1 jobs through a `Fleet` of N ∈ {1, 2, 4}
 //!    replicas of a tiny engine, each slot admission stalled off-CPU;
 //!    two replicas must reach [`FLEET_N2_FLOOR`] × one replica's
@@ -329,14 +332,124 @@ fn round_robin_ms(reps: usize, calls: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> 
         .collect()
 }
 
+/// The `layers.backward` block at the finetune batch `batch`: every
+/// U-Net convolution's training `Conv2d::forward` and then `backward`
+/// on its own random input and output gradient, each timed, next to
+/// one standard `UNet::forward` + `backward` step. Each of `reps`
+/// rounds runs every row twice in turn and times the second run, as
+/// [`round_robin_ms`] does; each figure is the median over rounds.
+fn backward_table(model: UNetConfig, batch: usize, smoke: bool) -> serde_json::Value {
+    let reps = if smoke { 3 } else { 31 };
+    let (c, s) = (model.base_ch, model.image as usize);
+    let convs = unet_convs(c, s);
+    let mut rows: Vec<_> = convs
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, in_c, out_c, k, side))| {
+            let conv = Conv2d::new(in_c, out_c, k, i as u64);
+            let x = random_input(batch, in_c, side, 300 + i as u64);
+            let grad = random_input(batch, out_c, side, 400 + i as u64);
+            (conv, x, grad)
+        })
+        .collect();
+    let mut unet = UNet::new(model, 100, 11);
+    let x = random_input(batch, 3, s, 98);
+    let grad = random_input(batch, 1, s, 97);
+    let ts = vec![50usize; batch];
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let mut times = vec![(Vec::with_capacity(reps), Vec::with_capacity(reps)); rows.len()];
+    let mut step_times = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        for ((conv, x, grad), (fwd, bwd)) in rows.iter_mut().zip(&mut times) {
+            for timed in [false, true] {
+                let (x, grad) = (x.clone(), grad.clone());
+                let start = Instant::now();
+                let y = conv.forward(black_box(x));
+                let fwd_ms = ms(start);
+                let start = Instant::now();
+                let gx = conv.backward(black_box(grad));
+                let bwd_ms = ms(start);
+                black_box((y, gx));
+                if timed {
+                    fwd.push(fwd_ms);
+                    bwd.push(bwd_ms);
+                }
+            }
+        }
+        for timed in [false, true] {
+            let (x, grad) = (x.clone(), grad.clone());
+            let start = Instant::now();
+            let y = unet.forward(black_box(x), &ts);
+            let gx = unet.backward(black_box(grad));
+            let step_ms = ms(start);
+            black_box((y, gx));
+            if timed {
+                step_times.push(step_ms);
+            }
+        }
+    }
+    let median = |mut t: Vec<f64>| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    };
+
+    println!();
+    println!(
+        "{:<10} {:>14} {:>10} {:>10} {:>10} {:>8}",
+        "layer", "m x k x n", "MFLOP", "fwd ms", "bwd ms", "bwd GF/s"
+    );
+    let mut conv_rows = Vec::new();
+    let (mut forward_ms, mut backward_ms) = (0.0, 0.0);
+    for ((name, in_c, out_c, k, side), (fwd, bwd)) in convs.into_iter().zip(times) {
+        let (gm, gk, gn) = (out_c, in_c * k * k, side * side);
+        let flops = 2.0 * (gm * gk * gn * batch) as f64;
+        let (fwd, bwd) = (median(fwd), median(bwd));
+        // The backward's two GEMMs (dW and the column gradient) each do
+        // the forward's multiply-adds.
+        let gflops = 2.0 * flops / bwd / 1e6;
+        forward_ms += fwd;
+        backward_ms += bwd;
+        println!(
+            "{name:<10} {:>14} {:>10.2} {fwd:>10.3} {bwd:>10.3} {gflops:>8.1}",
+            format!("{gm}x{gk}x{gn}"),
+            flops / 1e6,
+        );
+        conv_rows.push(json!({
+            "name": name,
+            "m": gm,
+            "k": gk,
+            "n": gn,
+            "flops_per_call": flops,
+            "forward_ms": fwd,
+            "backward_ms": bwd,
+            "backward_gflops": gflops,
+        }));
+    }
+    let train_step_ms = median(step_times);
+    println!(
+        "batch {batch}: conv forward {forward_ms:.2} ms, backward {backward_ms:.2} ms ({:.2}x); \
+         UNet forward + backward {train_step_ms:.2} ms",
+        backward_ms / forward_ms,
+    );
+    json!({
+        "batch": batch,
+        "convs": conv_rows,
+        "forward_ms": forward_ms,
+        "backward_ms": backward_ms,
+        "backward_vs_forward": backward_ms / forward_ms,
+        "train_step_ms": train_step_ms,
+    })
+}
+
 /// The `layers` block at batch width [`LAYER_WIDTH`]: every U-Net
 /// convolution through `Conv2d::forward_infer`, every GroupNorm→SiLU
 /// pass through `GroupNorm::forward_silu_infer` and both pools through
 /// `AvgPool2::forward_infer`, each alone on its own random input, timed
 /// round-robin with a whole `UNet::forward_infer`. `other_ms` is the
 /// forward minus all rows (upsample→concat, time bias, residual adds,
-/// time embedding).
-fn layer_table(model: UNetConfig, smoke: bool) -> serde_json::Value {
+/// time embedding). Its `backward` block is [`backward_table`] at the
+/// finetune batch `train_batch`.
+fn layer_table(model: UNetConfig, train_batch: usize, smoke: bool) -> serde_json::Value {
     let reps = if smoke { 3 } else { 41 };
     let (c, s) = (model.base_ch, model.image as usize);
     let mut calls: Vec<Box<dyn FnMut()>> = Vec::new();
@@ -456,6 +569,7 @@ fn layer_table(model: UNetConfig, smoke: bool) -> serde_json::Value {
         "forward_ms": forward_ms,
         "conv_share": conv_ms / forward_ms,
         "norm_share": norm_ms / forward_ms,
+        "backward": backward_table(model, train_batch, smoke),
     })
 }
 
@@ -1072,7 +1186,7 @@ fn main() {
         base_ch: cfg.model.base_ch,
         time_dim: cfg.model.time_dim,
     };
-    let layers = layer_table(unet_cfg, smoke);
+    let layers = layer_table(unet_cfg, cfg.finetune.batch, smoke);
 
     let mode_rows: Vec<serde_json::Value> = modes
         .iter()

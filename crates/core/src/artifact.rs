@@ -195,9 +195,11 @@ pub fn copy_artifacts(
 
 /// An [`ArtifactStore`] mapping each key to a file in one directory.
 ///
-/// Writes go to a dot-prefixed temp file first and are renamed into
-/// place, so concurrent readers (or a crash mid-save) never see a
-/// truncated artifact.
+/// Writes go to a dot-prefixed temp file, which is synced to disk and
+/// renamed into place before the directory is synced, so concurrent
+/// readers (or a crash mid-save) never see a truncated artifact and a
+/// put that returned `Ok` survives a crash. A failed put removes its
+/// temp file.
 #[derive(Debug)]
 pub struct DirStore {
     root: PathBuf,
@@ -244,9 +246,20 @@ impl ArtifactStore for DirStore {
             let path = path.to_path_buf();
             move |source| ArtifactError::Io { path, source }
         };
-        std::fs::write(&tmp, bytes).map_err(io_err(&tmp))?;
         let dst = self.path_for(key);
-        std::fs::rename(&tmp, &dst).map_err(io_err(&dst))
+        let put = write_synced(&tmp, bytes)
+            .map_err(io_err(&tmp))
+            .and_then(|()| std::fs::rename(&tmp, &dst).map_err(io_err(&dst)));
+        if put.is_err() {
+            // The put has failed either way; a leftover temp file would
+            // only accumulate (list() skips dot-prefixed names).
+            let _ = std::fs::remove_file(&tmp);
+        }
+        put?;
+        // Make the rename itself durable before reporting success.
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(io_err(&self.root))
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, ArtifactError> {
@@ -286,6 +299,15 @@ impl ArtifactStore for DirStore {
         keys.sort();
         Ok(keys)
     }
+}
+
+/// Writes `bytes` to a new file at `path` and syncs it to disk, so a
+/// rename that follows never publishes a partly written file.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    use std::io::Write;
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
 }
 
 /// An in-memory [`ArtifactStore`] for tests and ephemeral runs.
@@ -413,6 +435,27 @@ mod tests {
         assert_eq!(residue, 0);
         let err = store.get("absent").unwrap_err();
         assert!(matches!(err, ArtifactError::Missing { .. }));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A put that fails at the rename (the destination is a directory,
+    /// EISDIR) reports the error and leaves no temp file behind.
+    #[test]
+    fn dir_store_failed_put_leaves_no_temp_file() {
+        let root = std::env::temp_dir().join(format!("pp-artifact-eisdir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = DirStore::open(&root).unwrap();
+        std::fs::create_dir(root.join("m.bin")).unwrap();
+        let err = store.put("m.bin", b"abc").unwrap_err();
+        assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
+        let temps: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(".tmp-"))
+            .collect();
+        assert!(temps.is_empty(), "temp files left: {temps:?}");
+        assert!(root.join("m.bin").is_dir());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -16,9 +16,23 @@
 //!    first slice storing and later ones adding;
 //! 4. the bias is added to the panel's pixels last.
 //!
-//! Backward keeps the explicit im2col matrix and the transposed GEMMs.
+//! Backward, per sample:
+//!
+//! * the weight gradient `dW += dY · colᵀ` runs the NT dot tiles of
+//!   [`crate::gemm`]; their B rows are the input itself (1×1), the
+//!   forward's zero-bordered copy read one image row at a time where
+//!   `w` is a multiple of 16, or else an explicit im2col matrix;
+//! * the input gradient's column matrix `Wᵀ · dY` is computed six rows
+//!   at a time (`sgemm_tn`'s bits), and each block is added into dX
+//!   while it is in cache, one slice add per (tap, image row) strip.
+//!
+//! Every gradient element receives the same operations in the same
+//! order as with a full im2col matrix, per-element dot products and a
+//! per-pixel scatter; the tests keep that backward as their reference.
 
-use crate::gemm::{pack_a, sgemm_nt, sgemm_tn, ALayout, Kernel, Run, KC, NR_MAX};
+use crate::gemm::{
+    nt_dots, pack_a, sgemm_tn, sgemm_tn_blocks, ALayout, Kernel, Run, Segments, KC, MR, NR_MAX,
+};
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -31,12 +45,14 @@ use crate::Layer;
 /// one in-order multiply-add chain per k slice, the slices summed in
 /// order, then the bias added — an order set by `in_c·k²` alone, never
 /// by the batch width, the image size or the tile, so a batch row is
-/// bit-identical to the same sample run alone. Backward rebuilds the
-/// im2col matrix (recompute-over-store) and produces both parameter
-/// and input gradients through the transposed GEMM variants. Packed
-/// weights, staged planes, B panels and im2col scratch persist across
-/// calls (training) or come from a caller [`Workspace`] (inference), so
-/// steady-state passes perform no scratch allocation.
+/// bit-identical to the same sample run alone. Backward recomputes
+/// its im2col rows from the cached input (recompute-over-store) and
+/// produces both parameter and input gradients through the transposed
+/// GEMM layouts (module docs), bit-identical to the explicit im2col
+/// backward. Packed weights, staged planes, B panels and backward
+/// scratch persist across calls (training) or come from a caller
+/// [`Workspace`] (inference), so steady-state passes perform no
+/// scratch allocation.
 ///
 /// # Example
 ///
@@ -122,30 +138,37 @@ impl Conv2d {
         }
     }
 
-    /// Scatter-adds a col-gradient back to an input-gradient plane set.
-    fn col2im(&self, colg: &[f32], gx: &mut Tensor, n: usize) {
-        let (h, w) = (gx.h(), gx.w());
-        let k = self.k;
+    /// Adds rows `p0, p0 + 1, …` of one sample's column gradient
+    /// (`rows`, each `h·w` wide; row `p` is tap (ic, ky, kx)) into its
+    /// input-gradient planes `gxb` (`[in_c][h·w]`): the transpose of
+    /// [`Conv2d::im2col`].
+    ///
+    /// Each (row, image row) strip is one slice add of `w − |shift|`
+    /// pixels, mirroring im2col's strip copies. Given the rows in
+    /// ascending order, every input pixel receives its adds in tap
+    /// order, as a per-pixel scatter would.
+    fn col2im(&self, p0: usize, rows: &[f32], gxb: &mut [f32], h: usize, w: usize) {
+        let (k, hw) = (self.k, h * w);
         let pad = k / 2;
-        let hw = h * w;
-        for ic in 0..self.in_c {
-            let plane = gx.plane_mut(n, ic);
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((ic * k + ky) * k + kx) * hw;
-                    for oy in 0..h {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        let sy = iy - pad;
-                        for ox in 0..w {
-                            let ix = ox + kx;
-                            if ix >= pad && ix < w + pad {
-                                plane[sy * w + (ix - pad)] += colg[row + oy * w + ox];
-                            }
-                        }
-                    }
+        for (p, grow) in (p0..).zip(rows.chunks_exact(hw)) {
+            let (ic, ky, kx) = (p / (k * k), p / k % k, p % k);
+            let plane = &mut gxb[ic * hw..(ic + 1) * hw];
+            // Column pixel x feeds input x + shift; the valid column
+            // range is [s0, s0 + len), landing at d0.
+            let shift = kx as isize - pad as isize;
+            let s0 = shift.unsigned_abs().min(w) * usize::from(shift < 0);
+            let d0 = (shift.max(0) as usize).min(w);
+            let len = w - shift.unsigned_abs().min(w);
+            for oy in 0..h {
+                let iy = oy + ky;
+                if iy < pad || iy >= h + pad {
+                    continue;
+                }
+                let sy = iy - pad;
+                let src = &grow[oy * w + s0..oy * w + s0 + len];
+                let dst = &mut plane[sy * w + d0..sy * w + d0 + len];
+                for (d, &g) in dst.iter_mut().zip(src) {
+                    *d += g;
                 }
             }
         }
@@ -201,15 +224,7 @@ impl Conv2d {
         let outs = out.data_mut().chunks_exact_mut(self.out_c * hw);
         for (xb, ob) in x.data().chunks_exact(self.in_c * hw).zip(outs) {
             let xs = if pad > 0 {
-                let interior = [Run {
-                    src: 0,
-                    col: pad,
-                    len: w,
-                }];
-                for (dst, src) in staged.chunks_exact_mut(hp * wp).zip(xb.chunks_exact(hw)) {
-                    let rows = &mut dst[pad * wp..(pad + h) * wp];
-                    kern.gather(rows, wp, src, (0..hw).step_by(w), &interior);
-                }
+                self.stage(kern, xb, h, w, &mut staged);
                 &staged[..]
             } else {
                 xb
@@ -241,14 +256,29 @@ impl Conv2d {
         out
     }
 
+    /// Copies one sample's input planes (`xb`, `[in_c][h·w]`) into the
+    /// interiors of `staged` (`[in_c][h + 2·pad][w + 2·pad]`), whose
+    /// zero border the caller has set.
+    fn stage(&self, kern: Kernel, xb: &[f32], h: usize, w: usize, staged: &mut [f32]) {
+        let pad = self.k / 2;
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let interior = [Run {
+            src: 0,
+            col: pad,
+            len: w,
+        }];
+        for (dst, src) in staged.chunks_exact_mut(hp * wp).zip(xb.chunks_exact(h * w)) {
+            let rows = &mut dst[pad * wp..(pad + h) * wp];
+            kern.gather(rows, wp, src, (0..h * w).step_by(w), &interior);
+        }
+    }
+
     /// Where im2col rows `p0, p0 + 1, …` start in the staged planes
-    /// (`[in_c][hp][wp]`): row `(ic, ky, kx)` reads output pixel
-    /// `(oy, ox)` from staged `(ic, oy + ky, ox + kx)`.
+    /// (`[in_c][hp][wp]`, see [`staged_start`]).
     fn row_starts(&self, hp: usize, wp: usize, p0: usize) -> impl Iterator<Item = usize> + Clone {
         let k = self.k;
-        let (ic, ky, kx) = (p0 / (k * k), p0 / k % k, p0 % k);
-        let mut start = (ic * hp + ky) * wp + kx;
-        let (mut ky, mut kx) = (ky, kx);
+        let mut start = staged_start(k, hp, wp, p0);
+        let (mut ky, mut kx) = (p0 / k % k, p0 % k);
         std::iter::from_fn(move || {
             let row = start;
             kx += 1;
@@ -320,53 +350,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward called without forward");
-        let (n, h, w) = (x.n(), x.h(), x.w());
-        let hw = h * w;
-        let ick = self.in_c * self.k * self.k;
-        let mut ws = std::mem::take(&mut self.scratch);
-        let mut gx = Tensor::zeros(x.shape());
-        // A 1×1 same-padding conv's im2col matrix *is* the input.
-        let direct = self.k == 1;
-        let mut col = if direct {
-            Vec::new()
-        } else {
-            ws.take(ick * hw)
-        };
-        let mut colg = if direct {
-            Vec::new()
-        } else {
-            ws.take(ick * hw)
-        };
-        for b in 0..n {
-            let go = &grad.data()[b * self.out_c * hw..(b + 1) * self.out_c * hw];
-            // Bias gradient: per-channel sums of the output gradient.
-            for oc in 0..self.out_c {
-                self.bias.grad[oc] += go[oc * hw..(oc + 1) * hw].iter().sum::<f32>();
-            }
-            if direct {
-                // 1×1: the col matrix is the input and col2im is the
-                // identity, so both GEMMs run on the tensors in place.
-                let xb = &x.data()[b * ick * hw..(b + 1) * ick * hw];
-                sgemm_nt(self.out_c, hw, ick, go, xb, &mut self.weight.grad, 1.0);
-                let gxb = &mut gx.data_mut()[b * ick * hw..(b + 1) * ick * hw];
-                sgemm_tn(ick, self.out_c, hw, &self.weight.value, go, gxb, 0.0);
-            } else {
-                self.im2col(&x, b, &mut col);
-                // Weight gradient: Wg += gradOut · colᵀ.
-                sgemm_nt(self.out_c, hw, ick, go, &col, &mut self.weight.grad, 1.0);
-                // Input gradient via colᵍ = Wᵀ · gradOut, scattered back.
-                sgemm_tn(ick, self.out_c, hw, &self.weight.value, go, &mut colg, 0.0);
-                self.col2im(&colg, &mut gx, b);
-            }
-        }
-        ws.give(col);
-        ws.give(colg);
-        self.scratch = ws;
-        gx
+        self.backward_on(Kernel::detect(), grad)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -375,9 +359,103 @@ impl Layer for Conv2d {
     }
 }
 
+impl Conv2d {
+    /// [`Layer::backward`] with the weight gradient's dot tiles on
+    /// `kern`.
+    fn backward_on(&mut self, kern: Kernel, grad: Tensor) -> Tensor {
+        let x = self
+            .cached_input
+            .take()
+            .expect("backward called without forward");
+        let (n, h, w) = (x.n(), x.h(), x.w());
+        let (hw, pad, k) = (h * w, self.k / 2, self.k);
+        let (in_c, out_c, ick) = (self.in_c, self.out_c, self.in_c * k * k);
+        let mut ws = std::mem::take(&mut self.scratch);
+        let mut gx = Tensor::zeros(x.shape());
+        // dW = gradOut · colᵀ takes im2col row (ic, ky, kx) as B row p.
+        // A 1×1 conv's im2col matrix is the input itself. Where every
+        // 16-pixel step lies inside one image row (w % 16 == 0), each row
+        // is read from the zero-bordered copy of the input planes the
+        // forward gathers from, one run per image row; elsewhere the
+        // matrix is built.
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let staged_rows = pad == 0 || w.is_multiple_of(16);
+        let segs = if pad > 0 && staged_rows {
+            Segments {
+                len: w,
+                count: h,
+                b_step: wp,
+            }
+        } else {
+            Segments::contiguous(hw)
+        };
+        let b_row = |p: usize| {
+            if staged_rows {
+                staged_start(k, hp, wp, p)
+            } else {
+                p * hw
+            }
+        };
+        let mut staged = ws.take(if pad > 0 && staged_rows {
+            in_c * hp * wp
+        } else {
+            0
+        });
+        staged.fill(0.0);
+        let mut col = ws.take(if staged_rows { 0 } else { ick * hw });
+        let mut colg = ws.take(if pad > 0 { MR * hw } else { 0 });
+        for b in 0..n {
+            let go = &grad.data()[b * out_c * hw..(b + 1) * out_c * hw];
+            // Bias gradient: per-channel sums of the output gradient.
+            for oc in 0..out_c {
+                self.bias.grad[oc] += go[oc * hw..(oc + 1) * hw].iter().sum::<f32>();
+            }
+            let xb = &x.data()[b * in_c * hw..(b + 1) * in_c * hw];
+            let rows: &[f32] = if !staged_rows {
+                self.im2col(&x, b, &mut col);
+                &col
+            } else if pad > 0 {
+                self.stage(kern, xb, h, w, &mut staged);
+                &staged
+            } else {
+                xb
+            };
+            // Weight gradient: Wg += gradOut · colᵀ.
+            let wg = &mut self.weight.grad;
+            nt_dots(kern, out_c, ick, segs, go, hw, rows, b_row, wg, ick);
+            // Input gradient: colᵍ = Wᵀ · gradOut, added back by col2im
+            // a few rows at a time while they are in cache; a 1×1
+            // conv's col2im is the identity.
+            let gxb = &mut gx.data_mut()[b * in_c * hw..(b + 1) * in_c * hw];
+            let wt = &self.weight.value;
+            if pad == 0 {
+                sgemm_tn(ick, out_c, hw, wt, go, gxb, 0.0);
+            } else {
+                sgemm_tn_blocks(ick, out_c, hw, wt, go, &mut colg, |p0, rows| {
+                    self.col2im(p0, rows, gxb, h, w)
+                });
+            }
+        }
+        ws.give(staged);
+        ws.give(col);
+        ws.give(colg);
+        self.scratch = ws;
+        gx
+    }
+}
+
+/// Where im2col row `p` = (ic, ky, kx) of a `k×k` convolution starts in
+/// its input planes staged `[in_c][hp][wp]`: row `p` reads output pixel
+/// `(oy, ox)` from staged `(ic, oy + ky, ox + kx)`.
+fn staged_start(k: usize, hp: usize, wp: usize, p: usize) -> usize {
+    let (ic, ky, kx) = (p / (k * k), p / k % k, p % k);
+    (ic * hp + ky) * wp + kx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::tests::reference_nt;
     use crate::gradcheck::check_layer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -606,6 +684,119 @@ mod tests {
                 conv.im2col(&x, b, &mut fast);
                 im2col_reference(&conv, &x, b, &mut reference);
                 assert_eq!(fast, reference, "ic={ic} k={k} {h}x{w} sample {b}");
+            }
+        }
+    }
+
+    /// The per-pixel scatter the strip-add `col2im` replaced.
+    fn col2im_reference(conv: &Conv2d, colg: &[f32], gx: &mut Tensor, n: usize) {
+        let (h, w) = (gx.h(), gx.w());
+        let k = conv.k;
+        let pad = k / 2;
+        let hw = h * w;
+        for ic in 0..conv.in_c {
+            let plane = gx.plane_mut(n, ic);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = ((ic * k + ky) * k + kx) * hw;
+                    for oy in 0..h {
+                        let iy = oy + ky;
+                        if iy < pad || iy >= h + pad {
+                            continue;
+                        }
+                        let sy = iy - pad;
+                        for ox in 0..w {
+                            let ix = ox + kx;
+                            if ix >= pad && ix < w + pad {
+                                plane[sy * w + (ix - pad)] += colg[row + oy * w + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The backward the NT dot tiles and the strip-add `col2im`
+    /// replaced, kept as the backward sweep's reference. Per sample:
+    /// the bias sums; im2col (1×1: the input in place); the weight
+    /// gradient as one dot product per element
+    /// ([`crate::gemm::tests::reference_nt`], fused or not); the column
+    /// gradient through `sgemm_tn`; the per-pixel scatter. Accumulates
+    /// into `conv`'s gradients and returns dX.
+    fn reference_backward(conv: &mut Conv2d, fused: bool, x: &Tensor, grad: &Tensor) -> Tensor {
+        let (n, hw) = (x.n(), x.h() * x.w());
+        let (ick, out_c) = (conv.in_c * conv.k * conv.k, conv.out_c);
+        let mut gx = Tensor::zeros(x.shape());
+        let mut col = vec![0.0; ick * hw];
+        let mut colg = vec![0.0; ick * hw];
+        for b in 0..n {
+            let go = &grad.data()[b * out_c * hw..(b + 1) * out_c * hw];
+            for oc in 0..out_c {
+                conv.bias.grad[oc] += go[oc * hw..(oc + 1) * hw].iter().sum::<f32>();
+            }
+            if conv.k == 1 {
+                let xb = &x.data()[b * ick * hw..(b + 1) * ick * hw];
+                reference_nt(fused, out_c, hw, ick, go, xb, &mut conv.weight.grad, 1.0);
+                let gxb = &mut gx.data_mut()[b * ick * hw..(b + 1) * ick * hw];
+                sgemm_tn(ick, out_c, hw, &conv.weight.value, go, gxb, 0.0);
+            } else {
+                conv.im2col(x, b, &mut col);
+                reference_nt(fused, out_c, hw, ick, go, &col, &mut conv.weight.grad, 1.0);
+                sgemm_tn(ick, out_c, hw, &conv.weight.value, go, &mut colg, 0.0);
+                col2im_reference(conv, &colg, &mut gx, b);
+            }
+        }
+        gx
+    }
+
+    /// The backward against [`reference_backward`], bitwise on every
+    /// micro-kernel this CPU supports (the SIMD kernels against the
+    /// fused reference, portable against the unfused one): dX of each
+    /// of two backward calls, then dW and db, which the second call
+    /// accumulates onto the first's as training does without a
+    /// `zero_grad` between them. The cases are
+    /// `implicit_forward_sweep`'s.
+    #[test]
+    fn backward_sweep() {
+        let sides = [
+            (2usize, 2usize),
+            (4, 4),
+            (8, 8),
+            (16, 16),
+            (32, 32),
+            (12, 20),
+        ];
+        let ms = [1usize, 5, 8, 16, 17, 64];
+        for (ki, k) in [1usize, 3, 5].into_iter().enumerate() {
+            let cins = [3, 300usize.div_ceil(k * k), 600usize.div_ceil(k * k)];
+            for (si, &(h, w)) in sides.iter().enumerate() {
+                for (mi, &m) in ms.iter().enumerate() {
+                    let cin = cins[(si + mi) % 3];
+                    let n = if (si + mi + ki) % 2 == 0 { 3 } else { 1 };
+                    let seed = (ki * 100 + si * 10 + mi) as u64;
+                    let conv = Conv2d::new(cin, m, k, seed);
+                    let x = random_tensor([n, cin, h, w], seed + 2);
+                    let grads = [
+                        random_tensor([n, m, h, w], seed + 3),
+                        random_tensor([n, m, h, w], seed + 4),
+                    ];
+                    let case = format!("k={k} {h}x{w} m={m} in_c={cin} n={n}");
+                    for kern in Kernel::supported() {
+                        let (mut got, mut want) = (conv.clone(), conv.clone());
+                        for (call, g) in grads.iter().enumerate() {
+                            let want_gx = reference_backward(&mut want, kern.fused(), &x, g);
+                            got.cached_input = Some(x.clone());
+                            let got_gx = got.backward_on(kern, g.clone());
+                            let what = format!("{kern:?} {case} call {call}");
+                            assert_eq!(bits(got_gx.data()), bits(want_gx.data()), "dX {what}");
+                        }
+                        let (gw, ww) = (&got.weight.grad, &want.weight.grad);
+                        assert_eq!(bits(gw), bits(ww), "dW {kern:?} {case}");
+                        let (gb, wb) = (&got.bias.grad, &want.bias.grad);
+                        assert_eq!(bits(gb), bits(wb), "db {kern:?} {case}");
+                    }
+                }
             }
         }
     }

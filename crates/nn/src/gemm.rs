@@ -1,12 +1,15 @@
 //! Register-blocked, cache-tiled single-precision matrix multiply.
 //!
-//! Two drivers share one set of register-tile micro-kernels:
+//! Two families of register-tile micro-kernels serve three drivers:
 //!
 //! * the public GEMMs below, used by [`crate::Linear`], the backward
-//!   passes of [`crate::Conv2d`] and the PCA in `pp-selection`;
+//!   passes of [`crate::Conv2d`], and the PCA and selector in
+//!   `pp-selection`;
 //! * the implicit-GEMM convolution in [`crate::conv`], which gathers
 //!   its B panels from a zero-bordered copy of the input planes and
-//!   calls the kernels through the crate-private `Kernel`.
+//!   calls the panel kernels through the crate-private `Kernel`;
+//! * the convolution's weight gradient, which runs the NT dot tiles
+//!   (`Kernel::dots`) on rows of that same copy.
 //!
 //! Three memory layouts cover every public call site without
 //! materialising transposes:
@@ -15,20 +18,34 @@
 //! * [`sgemm_tn`] — `C = Aᵀ·B + β·C` with `A` stored `k×m`;
 //! * [`sgemm_nt`] — `C = A·Bᵀ + β·C` with `B` stored `n×k`.
 //!
-//! All matrices are dense row-major `f32` slices. The k-dimension is
-//! cut into 256-deep slices and each output element accumulates one
-//! slice at a time in a register tile: an in-order chain of fused
-//! multiply-adds (AVX-512F or AVX2+FMA, detected at runtime) or of
-//! unfused multiply-then-add (the portable kernel), started from zero,
-//! then added to `C`. Slices are summed in order. An element's
-//! arithmetic therefore depends on `k`, its own row and column of the
-//! operands and on whether a fused kernel computed it — never on `m`,
-//! `n`, the tile it sits in or its neighbours. That is the property
-//! batched sampling relies on.
+//! All matrices are dense row-major `f32` slices. NN and TN run the
+//! panel kernels: the k-dimension is cut into 256-deep slices and each
+//! output element accumulates one slice at a time in a register tile:
+//! an in-order chain of fused multiply-adds (AVX-512F or AVX2+FMA,
+//! detected at runtime) or of unfused multiply-then-add (the portable
+//! kernel), started from zero, then added to `C`. Slices are summed in
+//! order.
 //!
-//! The public GEMMs keep a 6-row tile on every instruction set and
-//! compute ragged column edges (the last `n mod 16` columns) with the
-//! portable kernel. Every slice length the kernels index by raw
+//! NT runs the dot tiles, where every output element is one dot
+//! product of an A row and a B row: 16 partial sums by `p mod 16`
+//! accumulated with fused multiply-adds (8 unfused by `p mod 8` on the
+//! portable kernel), an 8-wide remainder into the low eight, the
+//! fold-halves reduction (lane `l` with `l + 8`, then `l + 4`, `l + 2`,
+//! `l + 1`; pairwise `(0+1)+(2+3)`, `(4+5)+(6+7)` on portable), an
+//! unfused scalar tail (portable: its own sum, added last), then
+//! `c += sum` after `C` was scaled by `β`. A tile computes an MI×NJ
+//! block of such elements in one pass over k (AVX-512F 4×6, AVX2 and
+//! portable 2×2); single rows and columns take the edges.
+//!
+//! Either way an element's arithmetic depends on `k`, its own row and
+//! column of the operands and on whether a fused kernel computed it —
+//! never on `m`, `n`, the tile it sits in or its neighbours. That is
+//! the property batched sampling relies on, and the one that keeps
+//! training bit-identical however the tiles fall.
+//!
+//! The public NN/TN GEMMs keep a 6-row tile on every instruction set
+//! and compute ragged column edges (the last `n mod 16` columns) with
+//! the portable kernel. Every slice length the kernels index by raw
 //! pointer is checked with `assert!`, in release builds too.
 //!
 //! A scalar reference implementation ([`sgemm_naive`] and friends) backs
@@ -55,7 +72,7 @@
 
 /// Rows per register tile of the public GEMMs (6×16 f32 = 12 ymm
 /// accumulators on AVX2), on every instruction set.
-const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 /// Columns per AVX2 and portable register tile (two 8-lane vectors).
 const NR: usize = 16;
 /// Columns per AVX-512F register tile (two 16-lane vectors).
@@ -577,6 +594,72 @@ impl Kernel {
         }
     }
 
+    /// The NT dot tile, `(A rows, B rows)`: AVX-512F 4×6 (24 zmm
+    /// accumulators), AVX2+FMA 2×2 (eight ymm pairs), portable 2×2.
+    pub(crate) fn dot_tile(self) -> (usize, usize) {
+        match self.0 {
+            Isa::Avx512 => (4, 6),
+            Isa::Avx2 | Isa::Portable => (2, 2),
+        }
+    }
+
+    /// One NT dot tile: for `r < mi`, `j < b_rows.len()`,
+    /// `c[r·ldc + j] += dot(A row r, B row j)`, where A row `r` is the
+    /// `count·len` elements from `a[r·lda]` on and B row `j` the runs
+    /// `segs` places from `b[b_rows[j]]` on. Each element is the module
+    /// docs' dot product (fused
+    /// on the SIMD kernels, which agree bit for bit). `mi` is 1 or the
+    /// tile's rows and `b_rows.len()` 1 or its columns
+    /// ([`Kernel::dot_tile`]); the 1×1 case is a single dot product.
+    /// Bounds are asserted (release builds too).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other tile shape, a short operand, or several
+    /// runs that are not whole 16-wide steps.
+    pub(crate) fn dots(
+        self,
+        segs: Segments,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        b_rows: &[usize],
+        c: &mut [f32],
+        ldc: usize,
+        mi: usize,
+    ) {
+        let (tm, tn) = self.dot_tile();
+        let nj = b_rows.len();
+        assert!(
+            (mi == 1 || mi == tm) && (nj == 1 || nj == tn),
+            "dot tile shape out of range"
+        );
+        // One instance per (rows, columns) the tile can take.
+        macro_rules! by_shape {
+            ($f:ident, $tm:literal, $tn:literal) => {
+                match (mi > 1, nj > 1) {
+                    (false, false) => $f::<1, 1>(segs, a, lda, b, b_rows, c, ldc),
+                    (false, true) => $f::<1, $tn>(segs, a, lda, b, b_rows, c, ldc),
+                    (true, false) => $f::<$tm, 1>(segs, a, lda, b, b_rows, c, ldc),
+                    (true, true) => $f::<$tm, $tn>(segs, a, lda, b, b_rows, c, ldc),
+                }
+            };
+        }
+        match self.0 {
+            // SAFETY: a Kernel holding Isa::Avx512 exists only after
+            // cpu_has_avx512f() returned true (detect / supported); the
+            // tile asserts every slice bound itself (check_dots).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { by_shape!(dots_avx512, 4, 6) },
+            // SAFETY: a Kernel holding Isa::Avx2 exists only after
+            // cpu_has_avx2_fma() returned true (detect / supported); the
+            // tile asserts every slice bound itself (check_dots).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { by_shape!(dots_avx2, 2, 2) },
+            _ => by_shape!(dots_portable, 2, 2),
+        }
+    }
+
     /// Gathers rows from `xs`: row `r` of `panel` (rows `width` wide)
     /// receives `xs[start + run.src..][..run.len]` at columns
     /// `run.col..` for each run, `start` being the `r`-th item of
@@ -622,9 +705,6 @@ fn gemm_nx(
     assert_eq!(c.len(), m * n, "C must be m×n");
     assert_eq!(a.len(), m * k, "A must hold m·k elements");
     scale_c(c, beta);
-    let avx = cpu_has_avx2_fma();
-    #[cfg(target_arch = "x86_64")]
-    let avx512 = cpu_has_avx512f();
     let mut ap = [0.0f32; MR * KC];
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
@@ -633,37 +713,86 @@ fn gemm_nx(
             // Pack the A micro-panel once per (i0, p0): contiguous
             // [kc][MR] layout so the inner loop reads one cache line.
             pack_a(lay, a, m, k, i0, p0, kc, MR, &mut ap);
-            let mut j0 = 0;
-            // Full-width tiles with register accumulators, widest
-            // instruction set first.
-            #[cfg(target_arch = "x86_64")]
-            while avx512 && j0 + NR_512 <= n {
-                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
-                // SAFETY: AVX-512F detected above; the kernel asserts
-                // every slice bound itself (check_tile).
-                unsafe { kernel_avx512::<MR>(kc, &ap, bt, n, ct, n, mr, NR_512, false) };
-                j0 += NR_512;
-            }
-            while j0 + NR <= n {
-                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
-                #[cfg(target_arch = "x86_64")]
-                if avx {
-                    // SAFETY: AVX2+FMA detected above; the kernel asserts
-                    // every slice bound itself (check_tile).
-                    unsafe { kernel_avx2::<MR>(kc, &ap, bt, n, ct, n, mr, NR, false) };
-                    j0 += NR;
-                    continue;
-                }
-                let _ = avx;
-                kernel_portable::<MR>(kc, &ap, bt, n, ct, n, mr, NR, false);
-                j0 += NR;
-            }
-            // Ragged right edge: portable kernel at partial width.
-            if j0 < n {
-                let (bt, ct) = (&b[p0 * n + j0..], &mut c[i0 * n + j0..]);
-                kernel_portable::<MR>(kc, &ap, bt, n, ct, n, mr, n - j0, false);
-            }
+            nx_panel(kc, &ap, &b[p0 * n..], n, &mut c[i0 * n..], mr, false);
         }
+    }
+}
+
+/// One packed A panel (`ap`, `[kc][MR]`, `mr` rows used) times the
+/// `kc` B rows `b` (`n` wide) into the `mr` C rows `c` (`n` apart):
+/// full-width register tiles, widest instruction set first, then the
+/// last `n mod 16` columns on the portable kernel (see [`add_tile`]
+/// for `first`).
+fn nx_panel(kc: usize, ap: &[f32], b: &[f32], n: usize, c: &mut [f32], mr: usize, first: bool) {
+    let avx = cpu_has_avx2_fma();
+    #[cfg(target_arch = "x86_64")]
+    let avx512 = cpu_has_avx512f();
+    let mut j0 = 0;
+    #[cfg(target_arch = "x86_64")]
+    while avx512 && j0 + NR_512 <= n {
+        let (bt, ct) = (&b[j0..], &mut c[j0..]);
+        // SAFETY: AVX-512F detected above; the kernel asserts every
+        // slice bound itself (check_tile).
+        unsafe { kernel_avx512::<MR>(kc, ap, bt, n, ct, n, mr, NR_512, first) };
+        j0 += NR_512;
+    }
+    while j0 + NR <= n {
+        let (bt, ct) = (&b[j0..], &mut c[j0..]);
+        #[cfg(target_arch = "x86_64")]
+        if avx {
+            // SAFETY: AVX2+FMA detected above; the kernel asserts every
+            // slice bound itself (check_tile).
+            unsafe { kernel_avx2::<MR>(kc, ap, bt, n, ct, n, mr, NR, first) };
+            j0 += NR;
+            continue;
+        }
+        let _ = avx;
+        kernel_portable::<MR>(kc, ap, bt, n, ct, n, mr, NR, first);
+        j0 += NR;
+    }
+    // Ragged right edge: portable kernel at partial width.
+    if j0 < n {
+        let (bt, ct) = (&b[j0..], &mut c[j0..]);
+        kernel_portable::<MR>(kc, ap, bt, n, ct, n, mr, n - j0, first);
+    }
+}
+
+/// [`sgemm_tn`] at `β = 0`, handed out [`MR`] rows at a time: for each
+/// block of rows `i0..i0 + mr` in ascending order, computes them into
+/// `rows` (at least `MR·n` long) and calls `each(i0, &rows[..mr·n])`.
+/// Every element has `sgemm_tn`'s bits; a block is consumed while it
+/// is still in cache, and the full product is never stored.
+///
+/// # Panics
+///
+/// Panics when a slice length does not match its shape.
+pub(crate) fn sgemm_tn_blocks(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    rows: &mut [f32],
+    mut each: impl FnMut(usize, &[f32]),
+) {
+    assert_eq!(b.len(), k * n, "B must be k×n");
+    assert_eq!(a.len(), m * k, "A must hold m·k elements");
+    assert!(rows.len() >= MR * n, "row block shorter than MR·n");
+    let mut ap = [0.0f32; MR * KC];
+    for i0 in (0..m).step_by(MR) {
+        let mr = MR.min(m - i0);
+        let block = &mut rows[..mr * n];
+        if k == 0 {
+            block.fill(0.0);
+        }
+        // Slices in order, the first storing: per element the same
+        // `0 + s₀ + s₁ + …` sgemm_tn sums after zeroing C.
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            pack_a(ALayout::Transposed, a, m, k, i0, p0, kc, MR, &mut ap);
+            nx_panel(kc, &ap, &b[p0 * n..], n, block, mr, p0 == 0);
+        }
+        each(i0, block);
     }
 }
 
@@ -687,8 +816,12 @@ pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
 
 /// `C = A·Bᵀ + β·C` with `B` stored `n×k` row-major.
 ///
-/// Both operand rows are contiguous here, so this uses an unrolled
-/// dot-product kernel over k instead of the panel kernel.
+/// Both operand rows are contiguous here, so each output element is a
+/// dot product of an A row and a B row, with the per-element
+/// arithmetic the module docs give. After `C` is scaled by `β`,
+/// register tiles (AVX-512F 4×6, AVX2 and portable 2×2) compute their
+/// block of dot products in one pass over k, and single rows and
+/// columns cover the edges.
 ///
 /// # Panics
 ///
@@ -697,90 +830,391 @@ pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), n * k, "B must be n×k");
     assert_eq!(c.len(), m * n, "C must be m×n");
+    gemm_nt(Kernel::detect(), m, k, n, a, b, c, beta);
+}
+
+/// [`sgemm_nt`] on a chosen kernel.
+pub(crate) fn gemm_nt(
+    kern: Kernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    beta: f32,
+) {
     scale_c(c, beta);
-    let avx = cpu_has_avx2_fma();
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            #[cfg(target_arch = "x86_64")]
-            if avx {
-                // SAFETY: feature-detected; dot_avx stays within the
-                // slices it is given.
-                *cv += unsafe { dot_avx(arow, brow) };
-                continue;
+    nt_dots(
+        kern,
+        m,
+        n,
+        Segments::contiguous(k),
+        a,
+        k,
+        b,
+        |j| j * k,
+        c,
+        n,
+    );
+}
+
+/// The k axis of NT operand rows: `count` runs of `len` elements,
+/// back to back in an A row and `b_step` apart in a B row. A
+/// contiguous B row is one run. Several runs must each be whole 16-wide
+/// steps, so that a dot product over them does the arithmetic of one
+/// over the contiguous row they concatenate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segments {
+    pub(crate) len: usize,
+    pub(crate) count: usize,
+    pub(crate) b_step: usize,
+}
+
+impl Segments {
+    /// A contiguous row of `k` elements.
+    pub(crate) fn contiguous(k: usize) -> Segments {
+        Segments {
+            len: k,
+            count: 1,
+            b_step: 0,
+        }
+    }
+
+    /// Where the last run starts in an A row and in a B row: the 8-wide
+    /// remainder and scalar tail of a dot product lie there.
+    fn last(self) -> (usize, usize) {
+        let runs_before = self.count - 1;
+        (runs_before * self.len, runs_before * self.b_step)
+    }
+}
+
+/// `C += A·Bᵀ` by `kern`'s dot tiles: `c[i·ldc + j] += dot(A row i,
+/// B row j)` for `i < m`, `j < n`, where A row `i` is the
+/// `count·len` elements from `a[i·lda]` on and B row `j` the runs
+/// `segs` places from `b[b_row(j)]` on. The row loop is outermost, so
+/// a tile's A rows stay in cache while every B row passes them.
+pub(crate) fn nt_dots(
+    kern: Kernel,
+    m: usize,
+    n: usize,
+    segs: Segments,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    b_row: impl Fn(usize) -> usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let (tm, tn) = kern.dot_tile();
+    let mut rows = [0usize; NJ_MAX];
+    let mut i0 = 0;
+    while i0 < m {
+        let mi = if m - i0 >= tm { tm } else { 1 };
+        let mut j0 = 0;
+        while j0 < n {
+            let nj = if n - j0 >= tn { tn } else { 1 };
+            for (j, row) in rows[..nj].iter_mut().enumerate() {
+                *row = b_row(j0 + j);
             }
-            let _ = avx;
-            *cv += dot_portable(arow, brow);
+            let (at, ct) = (&a[i0 * lda..], &mut c[i0 * ldc + j0..]);
+            kern.dots(segs, at, lda, b, &rows[..nj], ct, ldc, mi);
+            j0 += nj;
         }
+        i0 += mi;
     }
 }
 
-/// Fixed-order portable dot product (eight independent partial sums).
+/// B rows per NT dot tile on any kernel.
+const NJ_MAX: usize = 6;
+
+/// Asserts every bound an NT dot tile indexes by raw pointer: `mi` A
+/// rows of `count·len` elements `lda` apart, the B rows' runs from
+/// `b_rows` on, and `mi` C rows `ldc` apart written `b_rows.len()`
+/// wide; and that several runs are whole 16-wide steps. Returns the B
+/// row starts as an array.
+#[inline(always)]
+fn check_dots<const NJ: usize>(
+    segs: Segments,
+    mi: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    b_rows: &[usize],
+    c: &[f32],
+    ldc: usize,
+) -> [usize; NJ] {
+    assert!(
+        segs.count == 1 || segs.len.is_multiple_of(16),
+        "split rows must be whole 16-wide steps"
+    );
+    let a_row = segs.count.checked_mul(segs.len);
+    assert!(
+        a_row
+            .and_then(|row| span(mi, lda, row))
+            .is_some_and(|len| len <= a.len()),
+        "A shorter than the tile's rows"
+    );
+    let b_row = span(segs.count, segs.b_step, segs.len);
+    assert!(
+        b_rows.len() == NJ
+            && b_rows.iter().all(|&start| {
+                b_row
+                    .and_then(|row| start.checked_add(row))
+                    .is_some_and(|end| end <= b.len())
+            }),
+        "B shorter than the tile's rows"
+    );
+    assert!(
+        span(mi, ldc, NJ).is_some_and(|len| len <= c.len()),
+        "C tile out of bounds"
+    );
+    std::array::from_fn(|j| b_rows[j])
+}
+
+/// Portable `MI×NJ` dot tile: `c[r·ldc + j] += dot(A row r, B row j)`,
+/// each dot eight unfused partial sums by `p mod 8`, summed pairwise,
+/// plus a separate unfused sum of the last `k mod 8` products.
 #[inline]
-fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut chunks_a = a.chunks_exact(8);
-    let mut chunks_b = b.chunks_exact(8);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for l in 0..8 {
-            lanes[l] += ca[l] * cb[l];
+fn dots_portable<const MI: usize, const NJ: usize>(
+    segs: Segments,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    b_rows: &[usize],
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let bs = check_dots::<NJ>(segs, MI, a, lda, b, b_rows, c, ldc);
+    let k8 = segs.len / 8 * 8;
+    let mut lanes = [[[0.0f32; 8]; NJ]; MI];
+    for run in 0..segs.count {
+        let (ao, bo) = (run * segs.len, run * segs.b_step);
+        for p in (0..k8).step_by(8) {
+            for r in 0..MI {
+                let av = &a[r * lda + ao + p..][..8];
+                for j in 0..NJ {
+                    let bv = &b[bs[j] + bo + p..][..8];
+                    for l in 0..8 {
+                        lanes[r][j][l] += av[l] * bv[l];
+                    }
+                }
+            }
         }
     }
-    let mut tail = 0.0f32;
-    for (&av, &bv) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        tail += av * bv;
+    let (ao, bo) = segs.last();
+    for r in 0..MI {
+        for j in 0..NJ {
+            let mut tail = 0.0f32;
+            for p in k8..segs.len {
+                tail += a[r * lda + ao + p] * b[bs[j] + bo + p];
+            }
+            let l = &lanes[r][j];
+            let sum = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+            c[r * ldc + j] += sum + tail;
+        }
     }
-    let sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    sum + tail
 }
 
-/// FMA dot product with a fixed-order horizontal reduction.
+/// Sums the eight lanes of `acc` in a fixed order: lane `l` with
+/// `l + 4`, then `l + 2`, then `l + 1`.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA; reads only within `a` and `b`.
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn fold8(acc: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    let s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
+    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    _mm_cvtss_f32(_mm_add_ss(s, _mm_shuffle_ps::<1>(s, s)))
+}
+
+/// Adds `sums[r][j]`, then the unfused products of the last run from
+/// `from` on in order, into `c[r·ldc + j]`: the scalar end of every
+/// fused dot tile.
+#[inline(always)]
+fn finish_dots<const MI: usize, const NJ: usize>(
+    sums: [[f32; NJ]; MI],
+    from: usize,
+    segs: Segments,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    bs: [usize; NJ],
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let (ao, bo) = segs.last();
+    for r in 0..MI {
+        for j in 0..NJ {
+            let mut sum = sums[r][j];
+            for p in from..segs.len {
+                sum += a[r * lda + ao + p] * b[bs[j] + bo + p];
+            }
+            c[r * ldc + j] += sum;
+        }
+    }
+}
+
+/// AVX2+FMA `MI×NJ` dot tile: per element two 8-lane accumulators
+/// (`p mod 16` below and above 8) fed with fused multiply-adds, an
+/// 8-wide remainder into the first, [`fold8`] of their sum, then the
+/// unfused scalar tail and `c += sum` ([`finish_dots`]).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA. Every slice bound is checked by
+/// [`check_dots`] (`assert!`), so any slices are sound to pass.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
+unsafe fn dots_avx2<const MI: usize, const NJ: usize>(
+    segs: Segments,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    b_rows: &[usize],
+    c: &mut [f32],
+    ldc: usize,
+) {
     use std::arch::x86_64::*;
-    // SAFETY: the caller upholds this fn's `# Safety` contract (AVX2+FMA
-    // present); `len = min(a.len(), b.len())` bounds every read.
-    unsafe {
-        let len = a.len().min(b.len());
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= len {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-                acc1,
-            );
-            i += 16;
+    let bs = check_dots::<NJ>(segs, MI, a, lda, b, b_rows, c, ldc);
+    let k16 = segs.len / 16 * 16;
+    let k8 = if segs.len - k16 >= 8 { k16 + 8 } else { k16 };
+    let (a_last, b_last) = segs.last();
+    // SAFETY: AVX2+FMA are present (this fn's contract). check_dots
+    // asserted that A row r (r < MI) spans `r·lda + run·len + p` and
+    // B row j spans `bs[j] + run·b_step + p` for every run < count and
+    // p < len, so every 8-lane load at such a p with p + 8 ≤ k8 ≤ len
+    // stays in bounds.
+    let sums = unsafe {
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [[[_mm256_setzero_ps(); 2]; NJ]; MI];
+        let mut av = [[_mm256_setzero_ps(); 2]; MI];
+        for run in 0..segs.count {
+            let (ar, br) = (ap.add(run * segs.len), bp.add(run * segs.b_step));
+            let mut p = 0;
+            while p < k16 {
+                for r in 0..MI {
+                    let row = ar.add(r * lda + p);
+                    av[r] = [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))];
+                }
+                for j in 0..NJ {
+                    let row = br.add(bs[j] + p);
+                    let (b0, b1) = (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)));
+                    for r in 0..MI {
+                        acc[r][j][0] = _mm256_fmadd_ps(av[r][0], b0, acc[r][j][0]);
+                        acc[r][j][1] = _mm256_fmadd_ps(av[r][1], b1, acc[r][j][1]);
+                    }
+                }
+                p += 16;
+            }
         }
-        if i + 8 <= len {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            i += 8;
+        if k16 < k8 {
+            let (ar, br) = (ap.add(a_last + k16), bp.add(b_last + k16));
+            for r in 0..MI {
+                av[r][0] = _mm256_loadu_ps(ar.add(r * lda));
+            }
+            for j in 0..NJ {
+                let b0 = _mm256_loadu_ps(br.add(bs[j]));
+                for r in 0..MI {
+                    acc[r][j][0] = _mm256_fmadd_ps(av[r][0], b0, acc[r][j][0]);
+                }
+            }
         }
-        let acc = _mm256_add_ps(acc0, acc1);
-        let hi = _mm256_extractf128_ps::<1>(acc);
-        let lo = _mm256_castps256_ps128(acc);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
-        let mut sum = _mm_cvtss_f32(s);
-        while i < len {
-            sum += *ap.add(i) * *bp.add(i);
-            i += 1;
+        let mut sums = [[0.0f32; NJ]; MI];
+        for r in 0..MI {
+            for j in 0..NJ {
+                sums[r][j] = fold8(_mm256_add_ps(acc[r][j][0], acc[r][j][1]));
+            }
         }
-        sum
-    }
+        sums
+    };
+    finish_dots(sums, k8, segs, a, lda, b, bs, c, ldc);
+}
+
+/// AVX-512F `MI×NJ` dot tile with [`dots_avx2`]'s arithmetic: one zmm
+/// per element holds its two 8-lane accumulators (lanes 0–7 and 8–15),
+/// so a 16-wide fused multiply-add feeds both; the 8-wide remainder is
+/// a masked one into lanes 0–7 that leaves lanes 8–15 as they are. The
+/// halves' sum is folded by [`fold8`], then [`finish_dots`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. Every slice bound is checked by
+/// [`check_dots`] (`assert!`), so any slices are sound to pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dots_avx512<const MI: usize, const NJ: usize>(
+    segs: Segments,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    b_rows: &[usize],
+    c: &mut [f32],
+    ldc: usize,
+) {
+    use std::arch::x86_64::*;
+    const LOW8: __mmask16 = 0x00ff;
+    let bs = check_dots::<NJ>(segs, MI, a, lda, b, b_rows, c, ldc);
+    let k16 = segs.len / 16 * 16;
+    let k8 = if segs.len - k16 >= 8 { k16 + 8 } else { k16 };
+    let (a_last, b_last) = segs.last();
+    // SAFETY: AVX-512F is present (this fn's contract). check_dots
+    // asserted that A row r (r < MI) spans `r·lda + run·len + p` and
+    // B row j spans `bs[j] + run·b_step + p` for every run < count and
+    // p < len, so every 16-lane load at such a p with p + 16 ≤ k16
+    // stays in bounds, and the masked remainder loads touch only lanes
+    // k16..k16 + 8 = k8 ≤ len of the last run.
+    let sums = unsafe {
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); NJ]; MI];
+        let mut av = [_mm512_setzero_ps(); MI];
+        for run in 0..segs.count {
+            let (ar, br) = (ap.add(run * segs.len), bp.add(run * segs.b_step));
+            let mut p = 0;
+            while p < k16 {
+                for r in 0..MI {
+                    av[r] = _mm512_loadu_ps(ar.add(r * lda + p));
+                }
+                for j in 0..NJ {
+                    let bv = _mm512_loadu_ps(br.add(bs[j] + p));
+                    for r in 0..MI {
+                        acc[r][j] = _mm512_fmadd_ps(av[r], bv, acc[r][j]);
+                    }
+                }
+                p += 16;
+            }
+        }
+        if k16 < k8 {
+            let (ar, br) = (ap.add(a_last + k16), bp.add(b_last + k16));
+            for r in 0..MI {
+                av[r] = _mm512_maskz_loadu_ps(LOW8, ar.add(r * lda));
+            }
+            for j in 0..NJ {
+                let bv = _mm512_maskz_loadu_ps(LOW8, br.add(bs[j]));
+                for r in 0..MI {
+                    acc[r][j] = _mm512_mask3_fmadd_ps(av[r], bv, acc[r][j], LOW8);
+                }
+            }
+        }
+        let mut sums = [[0.0f32; NJ]; MI];
+        for r in 0..MI {
+            for j in 0..NJ {
+                // Lanes 0–7 become acc0 + acc1 in a 512-bit add: the
+                // 256-bit instructions AVX-512F has reach only registers
+                // 0–15, and an accumulator they read would be kept there
+                // through the whole k loop.
+                let z = acc[r][j];
+                let halves = _mm512_add_ps(z, _mm512_shuffle_f32x4::<0b11_10_11_10>(z, z));
+                sums[r][j] = fold8(_mm512_castps512_ps256(halves));
+            }
+        }
+        sums
+    };
+    finish_dots(sums, k8, segs, a, lda, b, bs, c, ldc);
 }
 
 /// Scalar reference `C = A·B + β·C`, which the unit tests compare against.
@@ -848,7 +1282,7 @@ pub fn sgemm_nt_naive(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -984,6 +1418,175 @@ mod tests {
         sgemm(m, k, n, &a, &b, &mut c, 0.0);
     }
 
+    /// The per-element dot product `sgemm_nt` ran before its register
+    /// tiles, on AVX2+FMA hosts: two 8-lane fused accumulators, an
+    /// 8-wide remainder into the first, a fixed-order fold and an
+    /// unfused scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA; reads only within `a` and `b`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_avx(a: &[f32], b: &[f32]) -> f32 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller upholds this fn's `# Safety` contract
+        // (AVX2+FMA present); `len = min(a.len(), b.len())` bounds
+        // every read.
+        unsafe {
+            let len = a.len().min(b.len());
+            let ap = a.as_ptr();
+            let bp = b.as_ptr();
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut i = 0;
+            while i + 16 <= len {
+                acc0 =
+                    _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
+                acc1 = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(ap.add(i + 8)),
+                    _mm256_loadu_ps(bp.add(i + 8)),
+                    acc1,
+                );
+                i += 16;
+            }
+            if i + 8 <= len {
+                acc0 =
+                    _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
+                i += 8;
+            }
+            let acc = _mm256_add_ps(acc0, acc1);
+            let hi = _mm256_extractf128_ps::<1>(acc);
+            let lo = _mm256_castps256_ps128(acc);
+            let s = _mm_add_ps(lo, hi);
+            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+            let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
+            let mut sum = _mm_cvtss_f32(s);
+            while i < len {
+                sum += *ap.add(i) * *bp.add(i);
+                i += 1;
+            }
+            sum
+        }
+    }
+
+    /// The per-element dot product `sgemm_nt` ran before its register
+    /// tiles on every other host: eight unfused partial sums.
+    fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
+        let mut lanes = [0.0f32; 8];
+        let mut chunks_a = a.chunks_exact(8);
+        let mut chunks_b = b.chunks_exact(8);
+        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+            for l in 0..8 {
+                lanes[l] += ca[l] * cb[l];
+            }
+        }
+        let mut tail = 0.0f32;
+        for (&av, &bv) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
+            tail += av * bv;
+        }
+        let sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+        sum + tail
+    }
+
+    /// `sgemm_nt` before its register tiles: β, then `+=` one dot
+    /// product per element, [`dot_avx`] for a fused kernel and
+    /// [`dot_portable`] otherwise.
+    pub(crate) fn reference_nt(
+        fused: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        beta: f32,
+    ) {
+        scale_c(c, beta);
+        for i in 0..m {
+            for j in 0..n {
+                let (arow, brow) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                #[cfg(target_arch = "x86_64")]
+                if fused {
+                    // SAFETY: only the SIMD kernels are fused, and
+                    // Kernel::supported lists them only where AVX2+FMA
+                    // (implied by AVX-512F) are present.
+                    c[i * n + j] += unsafe { dot_avx(arow, brow) };
+                    continue;
+                }
+                assert!(!fused, "no fused reference on this target");
+                c[i * n + j] += dot_portable(arow, brow);
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The NT tiles against the per-element dot products they replaced,
+    /// bitwise on every kernel this CPU supports: the SIMD tiles against
+    /// `dot_avx`, the portable tile against `dot_portable`. m and n
+    /// cover full tiles, single-row and single-column edges and both;
+    /// k covers 16-wide steps, the 8-wide remainder and scalar tails.
+    #[test]
+    fn nt_tiles_match_per_element_dots() {
+        let dims = [1usize, 3, 4, 6, 7, 17];
+        let ks = [1usize, 5, 8, 13, 16, 24, 64, 1024, 1031];
+        for kern in Kernel::supported() {
+            for (mi, &m) in dims.iter().enumerate() {
+                for (ni, &n) in dims.iter().enumerate() {
+                    for (ki, &k) in ks.iter().enumerate() {
+                        let seed = (mi * 100 + ni * 10 + ki) as u64 * 3;
+                        let a = random_matrix(m * k, seed);
+                        let b = random_matrix(n * k, seed + 1);
+                        let c0 = random_matrix(m * n, seed + 2);
+                        for beta in [0.0f32, 0.5, 1.0] {
+                            let mut want = c0.clone();
+                            reference_nt(kern.fused(), m, k, n, &a, &b, &mut want, beta);
+                            let mut got = c0.clone();
+                            gemm_nt(kern, m, k, n, &a, &b, &mut got, beta);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{kern:?} m={m} k={k} n={n} beta={beta}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The row blocks of `sgemm_tn_blocks` hold `sgemm_tn`'s bits, in
+    /// ascending order, across ragged row blocks, ragged column edges
+    /// and several k slices (k = 0 included).
+    #[test]
+    fn tn_blocks_match_sgemm_tn() {
+        for &(m, k, n) in &[
+            (1usize, 5usize, 5usize),
+            (13, 300, 40),
+            (7, 600, 33),
+            (6, 0, 9),
+        ] {
+            let at = random_matrix(k * m, (m + k + n) as u64);
+            let b = random_matrix(k * n, (m * k + n) as u64);
+            let mut want = vec![0.0; m * n];
+            sgemm_tn(m, k, n, &at, &b, &mut want, 0.0);
+            let mut got = vec![f32::NAN; m * n];
+            let mut rows = vec![f32::NAN; MR * n];
+            let mut next = 0;
+            sgemm_tn_blocks(m, k, n, &at, &b, &mut rows, |i0, block| {
+                assert_eq!(i0, next, "blocks out of order");
+                got[i0 * n..i0 * n + block.len()].copy_from_slice(block);
+                next += block.len() / n;
+            });
+            assert_eq!(next, m);
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
+        }
+    }
+
     /// Every micro-kernel asserts its own operand bounds, so a short B
     /// or C panics instead of being read or written past its end.
     #[test]
@@ -1005,6 +1608,50 @@ mod tests {
                 kern.tile(kc, &ap, &b, nr, &mut c, nr, mr, nr, true);
             });
             assert!(short_c.is_err(), "{kern:?} wrote past C");
+
+            // The NT dot tile: A and B rows k apart, C rows ldc apart.
+            let ((tm, tn), k) = (kern.dot_tile(), 5);
+            let segs = Segments::contiguous(k);
+            let (a, b) = (vec![1.0f32; tm * k], vec![1.0f32; tn * k]);
+            let rows: Vec<usize> = (0..tn).map(|j| j * k).collect();
+            let mut c = vec![0.0f32; tm * tn];
+            kern.dots(segs, &a, k, &b, &rows, &mut c, tn, tm);
+            assert!(c.iter().all(|&v| v == 5.0), "{kern:?}");
+            let short_a = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; tm * tn];
+                kern.dots(segs, &a[..tm * k - 1], k, &b, &rows, &mut c, tn, tm);
+            });
+            assert!(short_a.is_err(), "{kern:?} dot tile read past A");
+            let short_b = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; tm * tn];
+                kern.dots(segs, &a, k, &b[..tn * k - 1], &rows, &mut c, tn, tm);
+            });
+            assert!(short_b.is_err(), "{kern:?} dot tile read past B");
+            let short_c = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; tm * tn - 1];
+                kern.dots(segs, &a, k, &b, &rows, &mut c, tn, tm);
+            });
+            assert!(short_c.is_err(), "{kern:?} dot tile wrote past C");
+            // Two runs whose second reaches one element past B.
+            let split = Segments {
+                len: 16,
+                count: 2,
+                b_step: 16,
+            };
+            let (a, b) = (vec![1.0f32; tm * 32], vec![1.0f32; tn * 32]);
+            let rows: Vec<usize> = (0..tn).map(|j| j * 32).collect();
+            let mut c = vec![0.0f32; tm * tn];
+            kern.dots(split, &a, 32, &b, &rows, &mut c, tn, tm);
+            assert!(c.iter().all(|&v| v == 32.0), "{kern:?}");
+            let past_run = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f32; tm * tn];
+                let rows: Vec<usize> = (0..tn).map(|j| j * 32 + 1).collect();
+                kern.dots(split, &a, 32, &b, &rows, &mut c, tn, tm);
+            });
+            assert!(
+                past_run.is_err(),
+                "{kern:?} dot tile read past B's last run"
+            );
         }
     }
 }
